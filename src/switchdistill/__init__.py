@@ -6,6 +6,12 @@ adaptive threshold, switching between reciprocal training and a
 frozen-teacher mode that lets the student catch up.
 """
 
+import os
+
+# The engine's matrices are small: a second OpenBLAS thread doubles CPU time
+# for no wall-time gain. Set before NumPy loads; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx

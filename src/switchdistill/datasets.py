@@ -190,15 +190,25 @@ def augment_flip_crop(
     rng: np.random.Generator,
     pad: int = 2,
 ) -> np.ndarray:
-    """Random horizontal flip and shifted crop for image-shaped feature rows."""
+    """Random horizontal flip and shifted crop for image-shaped feature rows.
+
+    Each sample draws its crop offsets, then its flip. The flip is applied
+    while padding: the flipped crop at column offset j is the crop of the
+    flipped image at offset 2 * pad - j. One indexed copy then gathers every
+    crop.
+    """
     c, h, w = shape
     x = features.reshape(-1, c, h, w)
-    out = np.empty_like(x)
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    for i in range(x.shape[0]):
-        di, dj = rng.integers(0, 2 * pad + 1, size=2)
-        img = padded[i, :, di : di + h, dj : dj + w]
-        if rng.random() < 0.5:
-            img = img[:, :, ::-1]
-        out[i] = img
-    return out.reshape(features.shape)
+    n = x.shape[0]
+    offsets = np.empty((n, 2), dtype=np.int64)
+    flips = np.empty(n, dtype=bool)
+    for i in range(n):
+        offsets[i] = rng.integers(0, 2 * pad + 1, size=2)
+        flips[i] = rng.random() < 0.5
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    inner = padded[:, :, pad : pad + h, pad : pad + w]
+    inner[~flips] = x[~flips]
+    inner[flips] = x[flips, :, :, ::-1]
+    cols = np.where(flips, 2 * pad - offsets[:, 1], offsets[:, 1])
+    crops = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
+    return crops[np.arange(n), :, offsets[:, 0], cols].reshape(features.shape)

@@ -208,71 +208,87 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int | np.random.Generator) 
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix."""
-    b, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    cols = np.empty((b, oh * ow, c * kernel * kernel), dtype=x.dtype)
-    p = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, p] = patch.reshape(b, -1)
-            p += 1
-    return cols
+    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, copied from one strided view."""
+    b, c = x.shape[:2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (B, C, oh, ow, k, k)
+    oh, ow = windows.shape[2:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int) -> np.ndarray:
-    """Scatter-add the inverse of _im2col."""
+    """Scatter-add the inverse of _im2col, one strided slice per kernel offset.
+
+    Offsets run in descending order, so every input pixel sums its
+    contributions in ascending output-position order.
+    """
     b, c, h, w = shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
+    patches = dcols.reshape(b, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
     dx = np.zeros(shape, dtype=dcols.dtype)
-    p = 0
-    for i in range(oh):
-        for j in range(ow):
-            dx[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += dcols[
-                :, p
-            ].reshape(b, c, kernel, kernel)
-            p += 1
+    for ki in range(kernel - 1, -1, -1):
+        for kj in range(kernel - 1, -1, -1):
+            dx[:, :, ki : ki + stride * (oh - 1) + 1 : stride, kj : kj + stride * (ow - 1) + 1 : stride] += (
+                patches[:, :, ki, kj]
+            )
     return dx
 
 
-def _layer_forward(spec: LayerSpec, w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _layer_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
+    """What the layer multiplies by its weights: x itself, or a conv layer's patch matrix."""
     if isinstance(spec, Dense):
-        pre = x @ w + b
-    else:
-        batch = x.shape[0]
-        cols = _im2col(x.reshape(batch, spec.in_channels, spec.height, spec.width), spec.kernel, spec.stride)
-        wmat = w.reshape(spec.out_channels, -1)
-        pre = cols @ wmat.T + b  # (B, oh*ow, out_c)
-        pre = pre.transpose(0, 2, 1).reshape(batch, spec.out_features)
-    return pre
+        return x
+    return _im2col(x.reshape(x.shape[0], spec.in_channels, spec.height, spec.width), spec.kernel, spec.stride)
+
+
+def _layer_pre(spec: LayerSpec, w: np.ndarray, b: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Pre-activation from the layer's input (dense) or patch matrix (conv)."""
+    if isinstance(spec, Dense):
+        return inputs @ w + b
+    batch, positions, patch = inputs.shape
+    pre = inputs.reshape(batch * positions, patch) @ w.reshape(spec.out_channels, patch).T + b
+    return pre.reshape(batch, positions, spec.out_channels).transpose(0, 2, 1).reshape(batch, spec.out_features)
+
+
+def _as_batch(batch: np.ndarray) -> np.ndarray:
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"batch must be 2-D (samples x features), got shape {x.shape}")
+    return x
+
+
+def _check_width(i: int, spec: LayerSpec, x: np.ndarray) -> None:
+    if x.shape[1] != spec.in_features:
+        raise ShapeError(f"layer {i} expects {spec.in_features} input features, got {x.shape[1]}")
+
+
+def _activate(spec: LayerSpec, pre: np.ndarray) -> np.ndarray:
+    return np.maximum(pre, 0.0) if spec.activation == "relu" else pre
 
 
 def forward_with_cache(
     net: NetworkParams, batch: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Forward pass keeping (input, pre-activation) per layer for backward."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"batch must be 2-D (samples x features), got shape {x.shape}")
+    """Forward pass keeping (layer input or patch matrix, pre-activation) per layer for backward."""
+    x = _as_batch(batch)
     cache = []
     for i, spec in enumerate(net.layers):
-        if x.shape[1] != spec.in_features:
-            raise ShapeError(
-                f"layer {i} expects {spec.in_features} input features, got {x.shape[1]}"
-            )
-        pre = _layer_forward(spec, net.weights[i], net.biases[i], x)
-        cache.append((x, pre))
-        x = np.maximum(pre, 0.0) if spec.activation == "relu" else pre
+        _check_width(i, spec, x)
+        inputs = _layer_input(spec, x)
+        pre = _layer_pre(spec, net.weights[i], net.biases[i], inputs)
+        cache.append((inputs, pre))
+        x = _activate(spec, pre)
     return x, cache
 
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (samples x features) batch."""
-    logits, _ = forward_with_cache(net, batch)
-    return logits
+    """Logits for a (samples x features) batch; keeps no per-layer cache."""
+    x = _as_batch(batch)
+    for i, spec in enumerate(net.layers):
+        _check_width(i, spec, x)
+        x = _activate(spec, _layer_pre(spec, net.weights[i], net.biases[i], _layer_input(spec, x)))
+    return x
 
 
 def backward_from_cache(
@@ -289,27 +305,24 @@ def backward_from_cache(
     d = g
     for i in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[i]
-        x, pre = cache[i]
+        inputs, pre = cache[i]
         if spec.activation == "relu":
             d = d * (pre > 0)
         if isinstance(spec, Dense):
-            grads.weights.insert(0, x.T @ d / batch)
+            grads.weights.insert(0, inputs.T @ d / batch)
             grads.biases.insert(0, d.mean(axis=0))
             if i > 0:
                 d = d @ net.weights[i].T
         else:
             dmap = d.reshape(batch, spec.out_channels, -1).transpose(0, 2, 1)  # (B, oh*ow, out_c)
-            cols = _im2col(
-                x.reshape(batch, spec.in_channels, spec.height, spec.width), spec.kernel, spec.stride
-            )
-            wmat = net.weights[i].reshape(spec.out_channels, -1)
-            dw = np.einsum("bpo,bpk->ok", dmap, cols) / batch
+            dw = np.tensordot(dmap, inputs, axes=([0, 1], [0, 1])) / batch
             grads.weights.insert(0, dw.reshape(spec.weight_shape()))
             grads.biases.insert(0, dmap.sum(axis=1).mean(axis=0))
             if i > 0:
-                dcols = dmap @ wmat  # (B, oh*ow, C*k*k)
+                # Computed as (B, C*k*k, oh*ow) so that _col2im reads each offset's slice contiguously.
+                dcols = net.weights[i].reshape(spec.out_channels, -1).T @ d.reshape(batch, spec.out_channels, -1)
                 dx = _col2im(
-                    dcols,
+                    dcols.transpose(0, 2, 1),
                     (batch, spec.in_channels, spec.height, spec.width),
                     spec.kernel,
                     spec.stride,

@@ -260,12 +260,12 @@ def _pair_record(state: GapState, pstau, pttau, y1h, components: dict) -> dict:
     return rec
 
 
-def _mutual_components(y1h, ps1, pstau, pt1, pttau) -> dict:
+def _mutual_components(student_ce: float, teacher_ce: float, pstau, pttau) -> dict:
     """Pair-local CE and two-way KL values (the reciprocal objective's pieces)."""
     return {
-        "student_ce": float(np.mean(ce_loss(y1h, ps1))),
+        "student_ce": student_ce,
         "student_kl": float(np.mean(kl_loss(pttau, pstau))),
-        "teacher_ce": float(np.mean(ce_loss(y1h, pt1))),
+        "teacher_ce": teacher_ce,
         "teacher_kl": float(np.mean(kl_loss(pstau, pttau))),
     }
 
@@ -356,6 +356,7 @@ def train_pair(
                 teacher_grad = gt
                 grads_t = backward_from_cache(teacher, cache_t, gt)
                 teacher, topt = step(teacher, grads_t, topt)
+            del cache_s, cache_t  # patch matrices are not needed past backward, nor during evaluation
 
             logged = replace(state, mode=mode)
             timeline.append(logged)
@@ -495,10 +496,12 @@ def train_multi(
             caches: dict[str, list] = {}
             p1: dict[str, np.ndarray] = {}
             ptau: dict[str, np.ndarray] = {}
+            ce: dict[str, float] = {}
             for name in names:
                 z, caches[name] = forward_with_cache(nets[name], x)
                 p1[name], ptau[name] = _softened(z, tau)
-                _check_finite_loss(iteration, float(np.mean(ce_loss(y1h, p1[name]))))
+                ce[name] = float(np.mean(ce_loss(y1h, p1[name])))
+                _check_finite_loss(iteration, ce[name])
 
             if cfg.topology == "1t2s":
                 pairs = {"teacher_student": "student", "teacher_student2": "student2"}
@@ -559,15 +562,14 @@ def train_multi(
                 else:
                     s_name, t_name = "student", other
                 logged = replace(states[p], mode=modes[p])
-                components = _mutual_components(y1h, p1[s_name], ptau[s_name], p1[t_name], ptau[t_name])
-                rec = _pair_record(logged, ptau[s_name], ptau[t_name], y1h, components)
-                _check_finite_loss(iteration, rec["student_ce"], rec["teacher_ce"])
-                pair_records[p] = (logged, rec)
+                components = _mutual_components(ce[s_name], ce[t_name], ptau[s_name], ptau[t_name])
+                pair_records[p] = (logged, _pair_record(logged, ptau[s_name], ptau[t_name], y1h, components))
 
             for name in names:
                 if name in grads_logit:
                     grads = backward_from_cache(nets[name], caches[name], grads_logit[name])
                     nets[name], opts[name] = step(nets[name], grads, opts[name])
+            del caches  # patch matrices are not needed past backward, nor during evaluation
 
             for p in pair_names:
                 logged, rec = pair_records[p]

@@ -228,3 +228,30 @@ class TestAugmentation:
         a = augment_flip_crop(feats, (1, 3, 3), np.random.default_rng(11), pad=1)
         b = augment_flip_crop(feats, (1, 3, 3), np.random.default_rng(11), pad=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_matches_per_sample_loop_oracle(self, pad, seed):
+        shape = (3, 5, 7)
+        feats = np.random.default_rng(seed + 1000).uniform(size=(9, 3 * 5 * 7))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = augment_flip_crop(feats, shape, rng, pad=pad)
+        expected = per_sample_flip_crop(feats, shape, oracle_rng, pad)
+        assert out.tobytes() == expected.tobytes()
+        # both consumed the same draws, so the streams stay in step
+        assert rng.random() == oracle_rng.random()
+
+
+def per_sample_flip_crop(features, shape, rng, pad):
+    """The original one-sample-at-a-time augmentation, kept as an oracle."""
+    c, h, w = shape
+    x = features.reshape(-1, c, h, w)
+    out = np.empty_like(x)
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    for i in range(x.shape[0]):
+        di, dj = rng.integers(0, 2 * pad + 1, size=2)
+        img = padded[i, :, di : di + h, dj : dj + w]
+        if rng.random() < 0.5:
+            img = img[:, :, ::-1]
+        out[i] = img
+    return out.reshape(features.shape)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchdistill.errors import DegenerateGapError, DomainError, ShapeError
@@ -214,6 +214,29 @@ class TestBatchGapState:
         assert state.G == pytest.approx(g_mean, rel=1e-12)
         assert state.delta == pytest.approx(d_mean, rel=1e-12)
         assert state.mode == (LEARNING if g_mean <= d_mean else EXPERT)
+
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=2, max_value=10),
+        st.integers(min_value=0, max_value=2**31),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+        st.floats(min_value=1e-6, max_value=1.0),  # smaller errors underflow to subnormals
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_teacher_twice_as_wrong_is_always_expert(self, n, k, seed, student_mix, teacher_mix):
+        # Learning needs G <= delta < s_err, while the triangle inequality gives
+        # G >= t_err - s_err; both bounds hold for batch means too. So once
+        # t_err >= 2 * s_err no iteration can learn, and a frozen teacher stays frozen.
+        rng = np.random.default_rng(seed)
+        y = one_hot(rng.integers(k, size=n), k)
+        ps = (1.0 - student_mix) * y + student_mix * random_simplex(rng, n, k)
+        pt = (1.0 - teacher_mix) * y + teacher_mix * random_simplex(rng, n, k)
+        student_err = float(np.mean(np.abs(ps - y).sum(axis=1)))
+        teacher_err = float(np.mean(np.abs(pt - y).sum(axis=1)))
+        assume(teacher_err > 0.0 and teacher_err >= 2.0 * student_err)
+        state = batch_gap_state(ps, pt, y, 0)
+        assert state.mode == EXPERT
+        assert state.G > state.delta
 
     def test_empty_batch(self):
         with pytest.raises(DomainError):

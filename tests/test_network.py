@@ -11,9 +11,12 @@ from switchdistill.network import (
     Dense,
     Gradients,
     NetworkParams,
+    _col2im,
+    _im2col,
     backward,
     conv_mlp,
     forward,
+    forward_with_cache,
     init_params,
     mlp,
 )
@@ -110,6 +113,8 @@ class TestBackward:
             (mlp(4, (6, 5), 3), 4),
             (conv_mlp((1, 5, 5), (2,), (4,), 2, kernel=3, stride=1), 25),
             (conv_mlp((1, 9, 9), (2, 3), (), 2, kernel=3, stride=2), 81),
+            # stride 3 on a non-square map, in the second layer so the input gradient runs too
+            ((Conv2d(2, 3, 7, 10, 2, 1), Conv2d(3, 2, 6, 9, 3, 3), Dense(12, 2)), 140),
         ],
     )
     def test_matches_finite_differences(self, layers, in_dim):
@@ -141,6 +146,92 @@ class TestBackward:
                     numeric = (up - down) / (2 * h)
                     denom = max(abs(aflat[j]), abs(numeric), 1e-8)
                     assert abs(aflat[j] - numeric) / denom <= 1e-4, f"layer {li} entry {j}"
+
+
+def loop_im2col(x, kernel, stride):
+    """Patch matrix built one output position at a time: the oracle for _im2col."""
+    b, c, h, w = x.shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    cols = np.empty((b, oh * ow, c * kernel * kernel), dtype=x.dtype)
+    p = 0
+    for i in range(oh):
+        for j in range(ow):
+            patch = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            cols[:, p] = patch.reshape(b, -1)
+            p += 1
+    return cols
+
+
+def loop_col2im(dcols, shape, kernel, stride):
+    """Scatter-add one output position at a time: the oracle for _col2im."""
+    b, c, h, w = shape
+    oh = (h - kernel) // stride + 1
+    ow = (w - kernel) // stride + 1
+    dx = np.zeros(shape, dtype=dcols.dtype)
+    p = 0
+    for i in range(oh):
+        for j in range(ow):
+            dx[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += dcols[
+                :, p
+            ].reshape(b, c, kernel, kernel)
+            p += 1
+    return dx
+
+
+# (batch, channels, height, width, kernel, stride)
+CONV_GEOMETRIES = [
+    (2, 1, 5, 5, 3, 1),
+    (3, 2, 7, 9, 3, 1),
+    (2, 3, 9, 6, 3, 2),
+    (2, 3, 10, 13, 3, 3),
+    (2, 2, 11, 8, 2, 3),
+    (2, 2, 6, 6, 6, 1),  # kernel covers the whole input
+    (3, 3, 5, 8, 5, 2),  # kernel equals the shorter side
+]
+
+
+class TestConvEngine:
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+    def test_im2col_matches_loop_oracle(self, geometry):
+        b, c, h, w, k, s = geometry
+        x = np.random.default_rng(0).normal(size=(b, c, h, w))
+        out = _im2col(x, k, s)
+        assert out.tobytes() == loop_im2col(x, k, s).tobytes()
+        assert out.shape == loop_im2col(x, k, s).shape
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+    def test_col2im_matches_loop_oracle_bit_for_bit(self, geometry):
+        b, c, h, w, k, s = geometry
+        positions = ((h - k) // s + 1) * ((w - k) // s + 1)
+        dcols = np.random.default_rng(1).normal(size=(b, positions, c * k * k))
+        out = _col2im(dcols, (b, c, h, w), k, s)
+        assert out.tobytes() == loop_col2im(dcols, (b, c, h, w), k, s).tobytes()
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+    def test_col2im_is_the_adjoint_of_im2col(self, geometry):
+        b, c, h, w, k, s = geometry
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(b, c, h, w))
+        cols = _im2col(x, k, s)
+        dcols = rng.normal(size=cols.shape)
+        lhs = float(np.sum(cols * dcols))
+        rhs = float(np.sum(x * _col2im(dcols, x.shape, k, s)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            conv_mlp((3, 12, 12), (4, 6), (5,), 3),
+            (Conv2d(2, 3, 10, 13, 3, 3), Conv2d(3, 2, 3, 4, 2, 1), Dense(12, 3)),
+        ],
+    )
+    def test_forward_matches_cached_forward_bit_for_bit(self, layers):
+        net = init_params(layers, 4)
+        x = np.random.default_rng(5).uniform(size=(7, net.in_features))
+        logits, cache = forward_with_cache(net, x)
+        assert len(cache) == len(layers)
+        assert forward(net, x).tobytes() == logits.tobytes()
 
 
 class TestStep:
