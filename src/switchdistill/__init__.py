@@ -35,7 +35,6 @@ from .training import (
     ModeTimeline,
     NetworkDef,
     OptimizerSettings,
-    PairState,
     TrainConfig,
     TrainResult,
     evaluate,
@@ -83,7 +82,6 @@ __all__ = [
     "ModeTimeline",
     "NetworkDef",
     "OptimizerSettings",
-    "PairState",
     "TrainConfig",
     "TrainResult",
     "evaluate",

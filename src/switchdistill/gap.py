@@ -72,14 +72,17 @@ def gap(p_s_tau, p_t_tau) -> float | np.ndarray:
     return _reduce(np.abs(ps - pt).sum(axis=-1))
 
 
-def epsilon_factor(teacher_err: float, student_err: float) -> float:
-    """exp(-r) with r the teacher's share of the combined l1 error."""
+def _check_errors(teacher_err: float, student_err: float) -> None:
     if teacher_err < 0 or student_err < 0:
         raise DomainError("l1 errors must be non-negative")
-    total = teacher_err + student_err
-    if total == 0:
+    if teacher_err + student_err == 0:
         raise DegenerateGapError("both networks match the label exactly; ratio undefined")
-    return float(np.exp(-teacher_err / total))
+
+
+def epsilon_factor(teacher_err: float, student_err: float) -> float:
+    """exp(-r) with r the teacher's share of the combined l1 error."""
+    _check_errors(teacher_err, student_err)
+    return threshold_from_errors(student_err, teacher_err)[1]
 
 
 def threshold_from_errors(student_err, teacher_err):
@@ -108,9 +111,8 @@ def threshold(p_s_tau, p_t_tau, y) -> ThresholdInfo:
         raise ShapeError(f"label shape {yv.shape} != distribution shape {ps.shape}")
     student_err = float(np.abs(ps - yv).sum(axis=-1))
     teacher_err = float(np.abs(pt - yv).sum(axis=-1))
-    eps = epsilon_factor(teacher_err, student_err)  # raises on the degenerate case
-    r = teacher_err / (student_err + teacher_err)
-    return ThresholdInfo(delta=student_err - eps * teacher_err, epsilon=eps, r=r)
+    _check_errors(teacher_err, student_err)
+    return ThresholdInfo(*threshold_from_errors(student_err, teacher_err))
 
 
 def decide_mode(g: float, delta: float) -> str:

@@ -1,18 +1,20 @@
-"""Training loops: the adaptive-switching strategy, the logit-matching
-baselines (vanilla, classic offline distillation, mutual learning, ensemble
-distillation), and the two three-network topologies.
+"""Training: one iteration engine for every strategy and topology.
 
-Every strategy shares one iteration skeleton: forward both networks, compute
-the batch gap state, build per-sample logit gradients, backpropagate, and
-step the optimizers. The mutual-learning update is a single function used by
-both the baseline and the switching strategy's learning mode, so pinning the
-mode decision to "learning" reproduces the baseline bit for bit.
+A topology is a set of networks, the (teacher, student) pairs that each run
+the switching rule, and peer edges; a pair is the one-pair case. A strategy
+is one objective per role. Each iteration forwards every network, computes
+each pair's gap state, folds every stepping network's logit gradient from
+its objective terms, backpropagates, and steps. Students always step; a
+teacher steps iff at least one of its pairs is learning, and only those
+pairs' KL terms enter its gradient. Pinning the switching rule to "learning"
+therefore reproduces mutual learning bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+import math
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .checkpoint import load_checkpoint
 from .datasets import Dataset, augment_flip_crop, batches
 from .errors import ConfigError, DomainError, NumericError
 from .gap import EXPERT, LEARNING, GapState, batch_gap_state
-from .losses import (
+from .losses import (  # the closed-form gradients stay importable here: perfbench/tracer.py wraps them
     ce_loss,
     ensemble_target,
     kd_logit_grad,
@@ -35,9 +37,51 @@ from .network import NetworkParams, backward_from_cache, conv_mlp, forward, forw
 from .optim import OptimizerState, init_optimizer, step
 
 STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
-TOPOLOGIES = ("pair", "1t2s", "2t1s")
+STUDENT, TEACHER = "student", "teacher"
+PARTNER, ENSEMBLE = "partner", "ensemble"  # KL targets: the pair partner's p^tau, or the pair's mean
 
 PEER_KL_COEFF = 1.0  # weight of the two-way KL between peer networks in triples
+
+
+class Topology(NamedTuple):
+    names: tuple[str, ...]  # in the role order that keys each network's seeded init
+    pairs: tuple[tuple[str, str], ...]  # (teacher, student), in pair order
+    peers: tuple[tuple[str, str], ...]  # networks exchanging a two-way KL term every iteration
+
+
+TOPOLOGY_TABLE = {
+    "pair": Topology(("student", "teacher"), (("teacher", "student"),), ()),
+    "1t2s": Topology(
+        ("student", "teacher", "student2"),
+        (("teacher", "student"), ("teacher", "student2")),
+        (("student", "student2"),),
+    ),
+    "2t1s": Topology(
+        ("student", "teacher", "teacher2"),
+        (("teacher", "student"), ("teacher2", "student")),
+        (("teacher", "teacher2"),),
+    ),
+}
+TOPOLOGIES = tuple(TOPOLOGY_TABLE)
+
+
+class Objective(NamedTuple):
+    ce: float  # weight of CE(y, p^1)
+    kl: float | None  # weight of tau^2 * KL(target || p^tau); None: no KL term
+    target: str | None  # PARTNER or ENSEMBLE
+
+
+def objectives(strategy: str, alpha: float, beta: float) -> dict[str, Objective | None]:
+    """Each role's objective in one pair; None marks the pre-trained kd-offline teacher, which never steps."""
+    reciprocal = {STUDENT: Objective(1.0, alpha, PARTNER), TEACHER: Objective(1.0, beta, PARTNER)}
+    return {
+        "vanilla": {STUDENT: Objective(1.0, None, None), TEACHER: Objective(1.0, None, None)},
+        "kd-offline": {STUDENT: Objective(alpha, 1.0 - alpha, PARTNER), TEACHER: None},
+        "dml": reciprocal,
+        "switch": reciprocal,
+        "kdcl": {STUDENT: Objective(1.0, 1.0, ENSEMBLE), TEACHER: Objective(1.0, 1.0, ENSEMBLE)},
+    }[strategy]
+
 
 ModeHook = Callable[[int, str, GapState], str]
 InspectHook = Callable[[int, dict], None]
@@ -80,6 +124,14 @@ class TrainConfig:
     augment: bool = False
 
     def validate(self) -> None:
+        nets = {"student": self.student, "teacher": self.teacher, "third": self.third}
+        numbers = {"alpha": self.alpha, "beta": self.beta, "tau": self.tau, "lr.gamma": self.lr_gamma}
+        for name, defn in nets.items():
+            if defn is not None:
+                numbers.update({f"{name}.lr": defn.opt.lr, f"{name}.weight_decay": defn.opt.weight_decay})
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}, expected one of {STRATEGIES}")
         if self.topology not in TOPOLOGIES:
@@ -104,18 +156,10 @@ class TrainConfig:
             raise ConfigError("lr_gamma: must be positive")
 
     def network_names(self) -> tuple[str, ...]:
-        if self.topology == "pair":
-            return ("student", "teacher")
-        if self.topology == "1t2s":
-            return ("student", "teacher", "student2")
-        return ("student", "teacher", "teacher2")
+        return TOPOLOGY_TABLE[self.topology].names
 
     def pair_names(self) -> tuple[str, ...]:
-        if self.topology == "pair":
-            return ("teacher_student",)
-        if self.topology == "1t2s":
-            return ("teacher_student", "teacher_student2")
-        return ("teacher_student", "teacher2_student")
+        return tuple(f"{t}_{s}" for t, s in TOPOLOGY_TABLE[self.topology].pairs)
 
 
 @dataclass
@@ -158,16 +202,6 @@ class ModeTimeline:
 
 
 @dataclass
-class PairState:
-    student: NetworkParams
-    student_opt: OptimizerState
-    teacher: NetworkParams
-    teacher_opt: OptimizerState
-    mode: str
-    timeline: ModeTimeline
-
-
-@dataclass
 class TrainResult:
     config: TrainConfig
     networks: dict[str, NetworkParams]
@@ -181,19 +215,6 @@ class TrainResult:
 
     def best_accuracy(self, name: str) -> float:
         return max(row[f"{name}_acc"] for row in self.epoch_log)
-
-    def pair_state(self) -> PairState:
-        if self.config.topology != "pair":
-            raise DomainError("pair_state is defined for the pair topology only")
-        timeline = self.timelines[self.config.pair_names()[0]]
-        return PairState(
-            student=self.networks["student"],
-            student_opt=self.opts["student"],
-            teacher=self.networks["teacher"],
-            teacher_opt=self.opts["teacher"],
-            mode=timeline.states[-1].mode if timeline.states else LEARNING,
-            timeline=timeline,
-        )
 
 
 def scheduled_lr(base_lr: float, epoch: int, milestones: tuple[int, ...], gamma: float) -> float:
@@ -225,219 +246,66 @@ def build_network(defn: NetworkDef, in_dim: int, num_classes: int, seed: int, ro
     return init_params(layers, rng)
 
 
-def _make_opt(net: NetworkParams, settings: OptimizerSettings) -> OptimizerState:
-    return init_optimizer(
-        net,
-        kind=settings.kind,
-        lr=settings.lr,
-        momentum=settings.momentum,
-        weight_decay=settings.weight_decay,
-    )
-
-
-def _softened(z: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    return soften(z, 1.0), soften(z, tau)
-
-
-def _mutual_grads(ps1, pstau, pt1, pttau, y1h, alpha, beta, tau):
-    """Reciprocal-update logit gradients for both networks."""
-    gs = student_logit_grad(pttau, ps1, pstau, y1h, alpha, tau)
-    gt = teacher_logit_grad(pt1, pttau, pstau, y1h, beta, tau)
-    return gs, gt
-
-
-def _check_finite_loss(iteration: int, *values: float) -> None:
-    for v in values:
-        if not np.isfinite(v):
-            raise NumericError(f"non-finite loss at iteration {iteration}")
-
-
-def _pair_record(state: GapState, pstau, pttau, y1h, components: dict) -> dict:
-    rec = state.to_record()
-    rec.update(components)
-    rec["student_err_l1"] = float(np.mean(np.abs(pstau - y1h).sum(axis=-1)))
-    rec["teacher_err_l1"] = float(np.mean(np.abs(pttau - y1h).sum(axis=-1)))
-    return rec
-
-
-def _mutual_components(student_ce: float, teacher_ce: float, pstau, pttau) -> dict:
-    """Pair-local CE and two-way KL values (the reciprocal objective's pieces)."""
-    return {
-        "student_ce": student_ce,
-        "student_kl": float(np.mean(kl_loss(pttau, pstau))),
-        "teacher_ce": teacher_ce,
-        "teacher_kl": float(np.mean(kl_loss(pstau, pttau))),
-    }
-
-
-def train_pair(
-    cfg: TrainConfig,
-    train_ds: Dataset,
-    test_ds: Dataset,
-    mode_hook: ModeHook | None = None,
-    inspect: InspectHook | None = None,
-    initial: dict[str, NetworkParams] | None = None,
-) -> TrainResult:
-    """Train a teacher/student pair under any strategy.
-
-    ``mode_hook`` (iteration, pair_name, computed_state) -> mode lets tests
-    pin or force the switching decision; ``initial`` injects pre-built
-    networks in place of the seeded initialization.
-    """
-    cfg.validate()
-    if cfg.topology != "pair":
-        raise ConfigError("train_pair handles topology=pair only")
-    if len(train_ds) == 0:
-        raise DomainError("training data is empty")
-    k = train_ds.num_classes
-    in_dim = train_ds.dims
-
-    initial = initial or {}
-    student = initial.get("student") or build_network(cfg.student, in_dim, k, cfg.seed, 0, cfg.image_shape)
-    if cfg.strategy == "kd-offline":
-        teacher = initial.get("teacher") or load_checkpoint(cfg.teacher_checkpoint)
-    else:
-        teacher = initial.get("teacher") or build_network(cfg.teacher, in_dim, k, cfg.seed, 1, cfg.image_shape)
-    sopt = _make_opt(student, cfg.student.opt)
-    topt = _make_opt(teacher, cfg.teacher.opt)
-
-    pair_name = cfg.pair_names()[0]
-    timeline = ModeTimeline()
-    iter_log: list[dict] = []
-    epoch_log: list[dict] = []
-    aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0xA06]))
-    iteration = 0
-
-    for epoch in range(cfg.epochs):
-        sopt = sopt.with_lr(scheduled_lr(cfg.student.opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
-        topt = topt.with_lr(scheduled_lr(cfg.teacher.opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
-        for x, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
-            if cfg.augment:
-                x = augment_flip_crop(x, cfg.image_shape, aug_rng)
-            y1h = one_hot(labels, k)
-            zs, cache_s = forward_with_cache(student, x)
-            zt, cache_t = forward_with_cache(teacher, x)
-            ps1, pstau = _softened(zs, cfg.tau)
-            pt1, pttau = _softened(zt, cfg.tau)
-            totals = _strategy_totals(cfg, y1h, ps1, pstau, pt1, pttau)
-            _check_finite_loss(iteration, totals["student_loss"], totals["teacher_loss"])
-            state = batch_gap_state(pstau, pttau, y1h, iteration)
-
-            teacher_grad = None
-            if cfg.strategy == "switch":
-                mode = state.mode
-                if mode_hook is not None:
-                    mode = mode_hook(iteration, pair_name, state)
-                if mode == LEARNING:
-                    gs, gt = _mutual_grads(ps1, pstau, pt1, pttau, y1h, cfg.alpha, cfg.beta, cfg.tau)
-                else:
-                    gs = student_logit_grad(pttau, ps1, pstau, y1h, cfg.alpha, cfg.tau)
-                    gt = None
-            elif cfg.strategy == "dml":
-                mode = LEARNING
-                gs, gt = _mutual_grads(ps1, pstau, pt1, pttau, y1h, cfg.alpha, cfg.beta, cfg.tau)
-            elif cfg.strategy == "vanilla":
-                mode = LEARNING
-                gs = ps1 - y1h
-                gt = pt1 - y1h
-            elif cfg.strategy == "kd-offline":
-                mode = LEARNING
-                gs = kd_logit_grad(ps1, pstau, pttau, y1h, cfg.alpha, cfg.tau)
-                gt = None
-            else:  # kdcl
-                mode = LEARNING
-                pm = ensemble_target(pstau, pttau)
-                gs = kdcl_logit_grad(ps1, pstau, pm, y1h, cfg.tau)
-                gt = kdcl_logit_grad(pt1, pttau, pm, y1h, cfg.tau)
-
-            grads_s = backward_from_cache(student, cache_s, gs)
-            student, sopt = step(student, grads_s, sopt)
-            if gt is not None:
-                teacher_grad = gt
-                grads_t = backward_from_cache(teacher, cache_t, gt)
-                teacher, topt = step(teacher, grads_t, topt)
-            del cache_s, cache_t  # patch matrices are not needed past backward, nor during evaluation
-
-            logged = replace(state, mode=mode)
-            timeline.append(logged)
-            iter_log.append(_pair_record(logged, pstau, pttau, y1h, totals))
-            if inspect is not None:
-                inspect(
-                    iteration,
-                    {
-                        "mode": mode,
-                        "state": state,
-                        "student": student,
-                        "teacher": teacher,
-                        "student_opt": sopt,
-                        "teacher_opt": topt,
-                        "student_grad": gs,
-                        "teacher_grad": teacher_grad,
-                        "p_s_1": ps1,
-                        "p_s_tau": pstau,
-                        "p_t_1": pt1,
-                        "p_t_tau": pttau,
-                        "y": y1h,
-                    },
-                )
-            iteration += 1
-        epoch_log.append(
-            {
-                "epoch": epoch,
-                "student_acc": evaluate(student, test_ds),
-                "teacher_acc": evaluate(teacher, test_ds),
-            }
-        )
-
-    return TrainResult(
-        config=cfg,
-        networks={"student": student, "teacher": teacher},
-        opts={"student": sopt, "teacher": topt},
-        timelines={pair_name: timeline},
-        iteration_log={pair_name: iter_log},
-        epoch_log=epoch_log,
-    )
-
-
-def _strategy_totals(cfg: TrainConfig, y1h, ps1, pstau, pt1, pttau) -> dict:
-    """CE/KL components and totals exactly as each strategy's objective defines them."""
-    tau2 = cfg.tau * cfg.tau
-    s_ce = float(np.mean(ce_loss(y1h, ps1)))
-    t_ce = float(np.mean(ce_loss(y1h, pt1)))
-    out = {"student_ce": s_ce, "teacher_ce": t_ce}
-    if cfg.strategy == "vanilla":
-        out.update(student_kl=0.0, teacher_kl=0.0, student_loss=s_ce, teacher_loss=t_ce)
-    elif cfg.strategy == "kd-offline":
-        s_kl = float(np.mean(kl_loss(pttau, pstau)))
-        out.update(
-            student_kl=s_kl,
-            teacher_kl=0.0,
-            student_loss=cfg.alpha * s_ce + (1.0 - cfg.alpha) * tau2 * s_kl,
-            teacher_loss=t_ce,
-        )
-    elif cfg.strategy == "kdcl":
-        pm = ensemble_target(pstau, pttau)
-        s_kl = float(np.mean(kl_loss(pm, pstau)))
-        t_kl = float(np.mean(kl_loss(pm, pttau)))
-        out.update(
-            student_kl=s_kl,
-            teacher_kl=t_kl,
-            student_loss=s_ce + tau2 * s_kl,
-            teacher_loss=t_ce + tau2 * t_kl,
-        )
-    else:  # dml and switch share the reciprocal objective
-        s_kl = float(np.mean(kl_loss(pttau, pstau)))
-        t_kl = float(np.mean(kl_loss(pstau, pttau)))
-        out.update(
-            student_kl=s_kl,
-            teacher_kl=t_kl,
-            student_loss=s_ce + cfg.alpha * tau2 * s_kl,
-            teacher_loss=t_ce + cfg.beta * tau2 * t_kl,
-        )
+def pair_targets(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, np.ndarray]:
+    """role -> the distribution its KL term in this pair pulls toward; roles without one are absent."""
+    out = {}
+    for role, other in ((STUDENT, teacher), (TEACHER, student)):
+        obj = table[role]
+        if obj is not None and obj.kl is not None:
+            out[role] = ensemble_target(ptau[student], ptau[teacher]) if obj.target == ENSEMBLE else ptau[other]
     return out
 
 
-def train_multi(
+def stepping_terms(table: dict, topo: Topology, modes, targets, ptau: dict) -> dict[str, tuple[float, list]]:
+    """Networks that step this iteration -> (CE weight, [(KL weight, target)]).
+
+    Pair terms come in pair order, then peer terms. A teacher's pair term
+    counts only while that pair is learning.
+    """
+    out: dict[str, tuple[float, list]] = {}
+    for (t, s), mode, tg in zip(topo.pairs, modes, targets):
+        for role, net in ((STUDENT, s), (TEACHER, t)):
+            obj = table[role]
+            if obj is None or (role == TEACHER and mode != LEARNING):
+                continue
+            terms = out.setdefault(net, (obj.ce, []))[1]
+            if role in tg:
+                terms.append((obj.kl, tg[role]))
+    for a, b in topo.peers:
+        for net, other in ((a, b), (b, a)):
+            if net in out:
+                out[net][1].append((PEER_KL_COEFF, ptau[other]))
+    return out
+
+
+def logit_grad(w_ce: float, terms, p1, ptau, y, tau: float) -> np.ndarray:
+    """w_ce * (p^1 - y), plus w * tau * (p^tau - q) for each (w, q) term in order."""
+    g = w_ce * (p1 - y)
+    for w, q in terms:
+        g = g + w * tau * (ptau - q)
+    return g
+
+
+def objective_value(w_ce: float, ce: float, kls, tau: float) -> float:
+    """w_ce * CE + w * tau^2 * KL for each (w, KL value) term in order."""
+    total = w_ce * ce
+    for w, kl in kls:
+        total = total + w * (tau * tau) * kl
+    return total
+
+
+def _pair_components(table: dict, pair: tuple[str, str], tg: dict, ce: dict, ptau: dict, tau: float) -> dict:
+    """(role, quantity) -> the pair's CE, KL and objective value per role."""
+    out = {}
+    for role, net in zip((TEACHER, STUDENT), pair):
+        w_ce, w_kl, _ = table[role] or Objective(1.0, None, None)
+        kl = float(np.mean(kl_loss(tg[role], ptau[net]))) if role in tg else 0.0
+        out[role, "ce"], out[role, "kl"] = ce[net], kl
+        out[role, "loss"] = objective_value(w_ce, ce[net], [(w_kl, kl)] if role in tg else [], tau)
+    return out
+
+
+def run_training(
     cfg: TrainConfig,
     train_ds: Dataset,
     test_ds: Dataset,
@@ -445,41 +313,44 @@ def train_multi(
     inspect: InspectHook | None = None,
     initial: dict[str, NetworkParams] | None = None,
 ) -> TrainResult:
-    """Three-network training: one teacher with two students, or two teachers
-    with one student.
+    """Train every network of the configured topology under its strategy.
 
-    Each teacher-student pair runs the switching rule independently; peer
-    networks (the two students, or the two teachers) exchange a conventional
-    two-way KL term every iteration. In the one-teacher topology the teacher
-    steps only while at least one pair is in learning mode, and its gradient
-    carries KL terms from learning-mode pairs only. In the two-teacher
-    topology a teacher whose pair is in expert mode is fully frozen for the
-    iteration, peer term included.
+    ``mode_hook`` (iteration, pair_name, computed_state) -> mode lets tests
+    pin or force the switching decision; ``inspect`` (iteration, payload)
+    sees each iteration after the steps; ``initial`` injects pre-built
+    networks in place of the seeded initialization.
     """
     cfg.validate()
-    if cfg.topology not in ("1t2s", "2t1s"):
-        raise ConfigError("train_multi handles topologies 1t2s and 2t1s")
     if len(train_ds) == 0:
         raise DomainError("training data is empty")
     k = train_ds.num_classes
-    in_dim = train_ds.dims
-    names = cfg.network_names()
-    pair_names = cfg.pair_names()
-    defs = {
-        "student": cfg.student,
-        "teacher": cfg.teacher,
-        ("student2" if cfg.topology == "1t2s" else "teacher2"): cfg.third,
-    }
+    topo = TOPOLOGY_TABLE[cfg.topology]
+    names, pair_names = topo.names, cfg.pair_names()
+    table = objectives(cfg.strategy, cfg.alpha, cfg.beta)
+    defs = dict(zip(names, (cfg.student, cfg.teacher, cfg.third)))
     initial = initial or {}
     nets = {
-        name: initial.get(name) or build_network(defs[name], in_dim, k, cfg.seed, role, cfg.image_shape)
+        name: initial.get(name)
+        or (
+            load_checkpoint(cfg.teacher_checkpoint)
+            if name == TEACHER and cfg.strategy == "kd-offline"
+            else build_network(defs[name], train_ds.dims, k, cfg.seed, role, cfg.image_shape)
+        )
         for role, name in enumerate(names)
     }
-    opts = {name: _make_opt(nets[name], defs[name].opt) for name in names}
+    opts = {name: init_optimizer(nets[name], **asdict(defs[name].opt)) for name in names}
 
     timelines = {p: ModeTimeline() for p in pair_names}
     iter_log: dict[str, list[dict]] = {p: [] for p in pair_names}
     epoch_log: list[dict] = []
+    accuracy: dict[str, float] = {}
+    # each file keeps its record layout (pair files also log each role's objective
+    # value); the key strings are built once so that every record shares them
+    log_keys = (
+        [(f"{r}_{q}", r, q) for q in ("ce", "kl", "loss") for r in (STUDENT, TEACHER)]
+        if cfg.topology == "pair"
+        else [(f"{r}_{q}", r, q) for r in (STUDENT, TEACHER) for q in ("ce", "kl")]
+    )
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0xA06]))
     iteration = 0
     tau = cfg.tau
@@ -489,6 +360,7 @@ def train_multi(
             opts[name] = opts[name].with_lr(
                 scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma)
             )
+        stepped: set[str] = set()
         for x, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
             if cfg.augment:
                 x = augment_flip_crop(x, cfg.image_shape, aug_rng)
@@ -499,103 +371,63 @@ def train_multi(
             ce: dict[str, float] = {}
             for name in names:
                 z, caches[name] = forward_with_cache(nets[name], x)
-                p1[name], ptau[name] = _softened(z, tau)
+                p1[name], ptau[name] = soften(z, 1.0), soften(z, tau)
                 ce[name] = float(np.mean(ce_loss(y1h, p1[name])))
-                _check_finite_loss(iteration, ce[name])
+            targets = [pair_targets(table, t, s, ptau) for t, s in topo.pairs]
+            components = [_pair_components(table, pr, tg, ce, ptau, tau) for pr, tg in zip(topo.pairs, targets)]
+            totals = [c[r, "loss"] for c in components for r in (STUDENT, TEACHER)]
+            if not all(map(math.isfinite, [*ce.values(), *totals])):
+                raise NumericError(f"non-finite loss at iteration {iteration}")
 
-            if cfg.topology == "1t2s":
-                pairs = {"teacher_student": "student", "teacher_student2": "student2"}
-                states = {
-                    p: batch_gap_state(ptau[s], ptau["teacher"], y1h, iteration)
-                    for p, s in pairs.items()
-                }
-                modes = {
-                    p: (mode_hook(iteration, p, st) if mode_hook else st.mode)
-                    for p, st in states.items()
-                }
-                # students: distillation from the teacher plus a two-way peer term
-                grads_logit = {}
-                for p, s in pairs.items():
-                    peer = "student2" if s == "student" else "student"
-                    grads_logit[s] = (
-                        student_logit_grad(ptau["teacher"], p1[s], ptau[s], y1h, cfg.alpha, tau)
-                        + PEER_KL_COEFF * tau * (ptau[s] - ptau[peer])
-                    )
-                learning_students = [pairs[p] for p in pair_names if modes[p] == LEARNING]
-                teacher_grad = None
-                if learning_students:
-                    teacher_grad = p1["teacher"] - y1h
-                    for s in learning_students:
-                        teacher_grad = teacher_grad + cfg.beta * tau * (ptau["teacher"] - ptau[s])
-                    grads_logit["teacher"] = teacher_grad
-            else:  # 2t1s
-                pairs = {"teacher_student": "teacher", "teacher2_student": "teacher2"}
-                states = {
-                    p: batch_gap_state(ptau["student"], ptau[t], y1h, iteration)
-                    for p, t in pairs.items()
-                }
-                modes = {
-                    p: (mode_hook(iteration, p, st) if mode_hook else st.mode)
-                    for p, st in states.items()
-                }
-                gs = p1["student"] - y1h
-                for t in ("teacher", "teacher2"):
-                    gs = gs + cfg.alpha * tau * (ptau["student"] - ptau[t])
-                grads_logit = {"student": gs}
-                teacher_grad = None
-                for p, t in pairs.items():
-                    if modes[p] == LEARNING:
-                        peer = "teacher2" if t == "teacher" else "teacher"
-                        g = (
-                            teacher_logit_grad(p1[t], ptau[t], ptau["student"], y1h, cfg.beta, tau)
-                            + PEER_KL_COEFF * tau * (ptau[t] - ptau[peer])
-                        )
-                        grads_logit[t] = g
-                        if t == "teacher":
-                            teacher_grad = g
+            states = [batch_gap_state(ptau[s], ptau[t], y1h, iteration) for t, s in topo.pairs]
+            modes = [
+                (mode_hook(iteration, p, st) if mode_hook else st.mode) if cfg.strategy == "switch" else LEARNING
+                for p, st in zip(pair_names, states)
+            ]
 
-            pair_records = {}
-            for p in pair_names:
-                other = pairs[p]
-                if cfg.topology == "1t2s":
-                    s_name, t_name = other, "teacher"
-                else:
-                    s_name, t_name = "student", other
-                logged = replace(states[p], mode=modes[p])
-                components = _mutual_components(ce[s_name], ce[t_name], ptau[s_name], ptau[t_name])
-                pair_records[p] = (logged, _pair_record(logged, ptau[s_name], ptau[t_name], y1h, components))
-
+            grads_logit = {
+                name: logit_grad(w_ce, terms, p1[name], ptau[name], y1h, tau)
+                for name, (w_ce, terms) in stepping_terms(table, topo, modes, targets, ptau).items()
+            }
             for name in names:
                 if name in grads_logit:
                     grads = backward_from_cache(nets[name], caches[name], grads_logit[name])
                     nets[name], opts[name] = step(nets[name], grads, opts[name])
+                    stepped.add(name)
             del caches  # patch matrices are not needed past backward, nor during evaluation
 
-            for p in pair_names:
-                logged, rec = pair_records[p]
+            for p, (t, s), state, mode, comp in zip(pair_names, topo.pairs, states, modes, components):
+                logged = replace(state, mode=mode)
                 timelines[p].append(logged)
+                rec = logged.to_record()
+                rec.update({key: comp[r, q] for key, r, q in log_keys})
+                rec["student_err_l1"] = float(np.mean(np.abs(ptau[s] - y1h).sum(axis=-1)))
+                rec["teacher_err_l1"] = float(np.mean(np.abs(ptau[t] - y1h).sum(axis=-1)))
                 iter_log[p].append(rec)
 
             if inspect is not None:
                 inspect(
                     iteration,
                     {
-                        "modes": dict(modes),
-                        "states": dict(states),
+                        "mode": modes[0],
+                        "modes": dict(zip(pair_names, modes)),
+                        "states": dict(zip(pair_names, states)),
+                        "teacher": nets[TEACHER],
+                        "teacher_opt": opts[TEACHER],
                         "networks": dict(nets),
                         "opts": dict(opts),
-                        "logit_grads": dict(grads_logit),
-                        "teacher_grad": teacher_grad,
-                        "p_1": dict(p1),
-                        "p_tau": dict(ptau),
+                        "logit_grads": grads_logit,
+                        "teacher_grad": grads_logit.get(TEACHER),
+                        "p_1": p1,
+                        "p_tau": ptau,
                         "y": y1h,
                     },
                 )
             iteration += 1
-        row = {"epoch": epoch}
-        for name in names:
-            row[f"{name}_acc"] = evaluate(nets[name], test_ds)
-        epoch_log.append(row)
+        for name in names:  # a network that did not step is unchanged since its last evaluation
+            if name in stepped or name not in accuracy:
+                accuracy[name] = evaluate(nets[name], test_ds)
+        epoch_log.append({"epoch": epoch, **{f"{name}_acc": accuracy[name] for name in names}})
 
     return TrainResult(
         config=cfg,
@@ -607,16 +439,4 @@ def train_multi(
     )
 
 
-def run_training(
-    cfg: TrainConfig,
-    train_ds: Dataset,
-    test_ds: Dataset,
-    mode_hook: ModeHook | None = None,
-    inspect: InspectHook | None = None,
-    initial: dict[str, NetworkParams] | None = None,
-) -> TrainResult:
-    """Dispatch on topology."""
-    cfg.validate()
-    if cfg.topology == "pair":
-        return train_pair(cfg, train_ds, test_ds, mode_hook, inspect, initial)
-    return train_multi(cfg, train_ds, test_ds, mode_hook, inspect, initial)
+train_pair = train_multi = run_training

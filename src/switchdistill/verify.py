@@ -1,10 +1,11 @@
-"""Finite-difference verification of the analytic logit gradients.
+"""Finite-difference verification of the logit gradients the trainer applies.
 
-For every strategy's composite loss this builds random (logits, label)
-instances, evaluates the closed-form gradient, and compares it against
-central finite differences of the loss evaluated through the temperature
-softmax. Peer distributions and ensemble targets are held constant, exactly
-as the analytic forms assume.
+For every strategy and every role it trains (the switching strategy's
+three-network roles included) this builds random (logits, label) instances,
+folds the gradient from the trainer's own objective table, and compares it
+against central finite differences of the same objective evaluated through
+the temperature softmax. Partner, peer and ensemble targets are held
+constant, exactly as the trainer's gradients assume.
 """
 
 from __future__ import annotations
@@ -14,20 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .losses import (
-    LossBreakdown,
-    ce_loss,
-    ensemble_target,
-    kd_logit_grad,
-    kdcl_logit_grad,
-    kl_loss,
-    one_hot,
-    soften,
-    student_logit_grad,
-    teacher_logit_grad,
+from .gap import LEARNING
+from .losses import ce_loss, kl_loss, one_hot, soften
+from .training import (
+    STRATEGIES,
+    STUDENT,
+    TEACHER,
+    TOPOLOGY_TABLE,
+    logit_grad,
+    objective_value,
+    objectives,
+    pair_targets,
+    stepping_terms,
 )
-
-CHECKABLE = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
 
 
 @dataclass
@@ -53,67 +53,10 @@ class GradCheckReport:
         return all(c.ok for c in self.cases)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.cases:
-            status = "ok" if c.ok else "FAIL"
-            out.append(
-                f"{status:4s} {c.strategy:10s} {c.role:7s} tau={c.tau:<4g} max_rel_err={c.max_rel_error:.3e}"
-            )
-        return out
-
-
-def _loss_and_grad(strategy, role, z_self, z_other, y, alpha, beta, tau, fault_scale):
-    """Composite loss value (with peer outputs fixed) and its analytic gradient."""
-    p1 = soften(z_self, 1.0)
-    ptau = soften(z_self, tau)
-    otau = soften(z_other, tau)
-    tau2 = tau * tau
-    ce = float(ce_loss(y, p1))
-    if strategy == "vanilla":
-        kl = 0.0
-        total = ce
-        grad = p1 - y
-        kl_part = np.zeros_like(p1)
-    elif strategy == "kd-offline":
-        kl = float(kl_loss(otau, ptau))
-        total = alpha * ce + (1.0 - alpha) * tau2 * kl
-        grad = kd_logit_grad(p1, ptau, otau, y, alpha, tau)
-        kl_part = grad - alpha * (p1 - y)
-    elif strategy == "kdcl":
-        pm = ensemble_target(ptau, otau)
-        kl = float(kl_loss(pm, ptau))
-        total = ce + tau2 * kl
-        grad = kdcl_logit_grad(p1, ptau, pm, y, tau)
-        kl_part = grad - (p1 - y)
-    elif role == "teacher":  # dml / switch teacher side
-        kl = float(kl_loss(otau, ptau))
-        total = ce + beta * tau2 * kl
-        grad = teacher_logit_grad(p1, ptau, otau, y, beta, tau)
-        kl_part = grad - (p1 - y)
-    else:  # dml / switch student side (identical form in both modes)
-        kl = float(kl_loss(otau, ptau))
-        total = ce + alpha * tau2 * kl
-        grad = student_logit_grad(otau, p1, ptau, y, alpha, tau)
-        kl_part = grad - (p1 - y)
-    if fault_scale != 1.0:
-        grad = grad + (fault_scale - 1.0) * kl_part
-    return LossBreakdown(ce=ce, kl=kl, total=total, logit_grad=grad)
-
-
-def _loss_only(strategy, role, z_self, z_other, y, alpha, beta, tau, pm_fixed):
-    p1 = soften(z_self, 1.0)
-    ptau = soften(z_self, tau)
-    otau = soften(z_other, tau)
-    tau2 = tau * tau
-    ce = float(ce_loss(y, p1))
-    if strategy == "vanilla":
-        return ce
-    if strategy == "kd-offline":
-        return alpha * ce + (1.0 - alpha) * tau2 * float(kl_loss(otau, ptau))
-    if strategy == "kdcl":
-        return ce + tau2 * float(kl_loss(pm_fixed, ptau))
-    coeff = beta if role == "teacher" else alpha
-    return ce + coeff * tau2 * float(kl_loss(otau, ptau))
+        return [
+            f"{'ok' if c.ok else 'FAIL':4s} {c.strategy:10s} {c.role:12s} tau={c.tau:<4g} max_rel_err={c.max_rel_error:.3e}"
+            for c in self.cases
+        ]
 
 
 def logit_grad_check(
@@ -125,41 +68,48 @@ def logit_grad_check(
     trials: int = 100,
     tolerance: float = 1e-4,
     fault_scale: float = 1.0,
-    h: float = 1e-6,
+    h: float = 1e-4,
 ) -> GradCheckReport:
-    """Check one strategy's gradient forms on random instances.
+    """Check one strategy's gradient for every role it trains, triples included.
 
-    ``fault_scale`` multiplies the KL portion of the analytic gradient and
-    exists to prove the harness catches wrong gradients.
+    Each trial draws logits for every network of the topology with all pairs
+    learning, builds the role's objective terms from the training table, and
+    holds their targets constant at the base point. ``fault_scale``
+    multiplies the KL portion of the analytic gradient and exists to prove
+    the harness catches wrong gradients.
     """
-    if strategy not in CHECKABLE:
+    if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)
-    roles = ("student", "teacher") if strategy in ("dml", "kdcl", "switch") else ("student",)
+    table = objectives(strategy, alpha, beta)
+    roles = [("pair", role) for role in (STUDENT, TEACHER) if table[role] is not None]
+    if strategy == "switch":  # the only strategy that trains triples
+        roles += [(topo, role) for topo in ("1t2s", "2t1s") for role in (STUDENT, TEACHER)]
     cases = []
-    for role in roles:
+    for topology, name in roles:
+        topo = TOPOLOGY_TABLE[topology]
         worst = 0.0
         for _ in range(trials):
             k = int(rng.integers(2, 11))
-            z_self = rng.normal(0.0, 2.0, size=k)
-            z_other = rng.normal(0.0, 2.0, size=k)
+            z = {net: rng.normal(0.0, 2.0, size=k) for net in topo.names}
             y = one_hot(int(rng.integers(k)), k)
-            pm_fixed = (
-                ensemble_target(soften(z_self, tau), soften(z_other, tau))
-                if strategy == "kdcl"
-                else None
-            )
-            breakdown = _loss_and_grad(strategy, role, z_self, z_other, y, alpha, beta, tau, fault_scale)
-            numeric = np.empty(k)
-            for j in range(k):
-                zp = z_self.copy()
-                zp[j] += h
-                up = _loss_only(strategy, role, zp, z_other, y, alpha, beta, tau, pm_fixed)
-                zp[j] = z_self[j] - h
-                down = _loss_only(strategy, role, zp, z_other, y, alpha, beta, tau, pm_fixed)
-                numeric[j] = (up - down) / (2.0 * h)
-            denom = np.maximum(np.maximum(np.abs(breakdown.logit_grad), np.abs(numeric)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(breakdown.logit_grad - numeric) / denom)))
+            ptau = {net: soften(v, tau) for net, v in z.items()}
+            targets = [pair_targets(table, t, s, ptau) for t, s in topo.pairs]
+            modes = [LEARNING] * len(topo.pairs)
+            w_ce, terms = stepping_terms(table, topo, modes, targets, ptau)[name]
+            faulty = [(fault_scale * w, q) for w, q in terms]
+            analytic = logit_grad(w_ce, faulty, soften(z[name], 1.0), ptau[name], y, tau)
+
+            def value(zs):  # the objective of each row of logits
+                kls = [(w, kl_loss(np.broadcast_to(q, zs.shape), soften(zs, tau))) for w, q in terms]
+                return objective_value(w_ce, ce_loss(np.broadcast_to(y, zs.shape), soften(zs, 1.0)), kls, tau)
+
+            offsets = np.concatenate([c * h * np.eye(k) for c in (1.0, -1.0, 2.0, -2.0)])
+            up, down, up2, down2 = value(z[name] + offsets).reshape(4, k)
+            numeric = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)  # five-point stencil, error O(h^4)
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+            worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+        role = name if topology == "pair" else f"{topology} {name}"
         cases.append(
             GradCheckCase(strategy=strategy, role=role, tau=tau, max_rel_error=worst, ok=worst <= tolerance)
         )
@@ -176,7 +126,7 @@ def full_grad_check(
 ) -> GradCheckReport:
     """All strategies at several temperatures; the acceptance-level sweep."""
     cases = []
-    for strategy in CHECKABLE:
+    for strategy in STRATEGIES:
         for tau in taus:
             a = 0.5 if strategy == "kd-offline" else alpha
             report = logit_grad_check(

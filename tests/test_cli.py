@@ -84,6 +84,28 @@ class TestTrainCommand:
         bad.write_text("strategy = warp\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "r")]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["alpha=nan"],
+            ["beta=inf"],
+            ["tau=inf"],
+            ["lr.gamma=nan"],
+            ["student.lr=nan"],
+            ["teacher.weight_decay=inf"],
+            ["topology=1t2s", "third.lr=-inf"],
+        ],
+    )
+    def test_non_finite_number_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys, overrides):
+        args = ["train", "--config", cfg_file, "--out", str(tmp_path / "r")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip()
+        key = overrides[-1].split("=")[0]
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {key}:"), err
+        assert not os.path.exists(tmp_path / "r")
+
     def test_input_config_never_modified(self, cfg_file, tmp_path):
         before = open(cfg_file).read()
         main(["train", "--config", cfg_file, "--out", str(tmp_path / "r")])

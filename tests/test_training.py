@@ -8,15 +8,29 @@ from switchdistill.checkpoint import save_checkpoint
 from switchdistill.datasets import Dataset, generate_blobs
 from switchdistill.errors import ConfigError, DomainError, NumericError
 from switchdistill.gap import EXPERT, LEARNING, GapState
+from switchdistill.losses import (
+    ensemble_target,
+    kd_logit_grad,
+    kdcl_logit_grad,
+    one_hot,
+    soften,
+    student_logit_grad,
+    teacher_logit_grad,
+)
 from switchdistill.network import Dense, NetworkParams, init_params, mlp
 from switchdistill.training import (
+    TOPOLOGY_TABLE,
     ModeTimeline,
     NetworkDef,
     OptimizerSettings,
     TrainConfig,
     evaluate,
+    logit_grad,
+    objectives,
+    pair_targets,
     run_training,
     scheduled_lr,
+    stepping_terms,
     train_multi,
     train_pair,
 )
@@ -83,7 +97,7 @@ class TestSwitchPair:
             train,
             test,
             initial={"student": net.copy(), "teacher": net.copy()},
-            inspect=lambda i, info: states.append(info["state"]),
+            inspect=lambda i, info: states.append(info["states"]["teacher_student"]),
         )
         assert states[0].G == 0.0
         assert states[0].mode == LEARNING
@@ -137,15 +151,28 @@ class TestSwitchPair:
 
         def inspect(i, info):
             if info["mode"] == EXPERT:
-                expected = (info["p_s_1"] - info["y"]) + cfg.alpha * cfg.tau * (
-                    info["p_s_tau"] - info["p_t_tau"]
+                expected = (info["p_1"]["student"] - info["y"]) + cfg.alpha * cfg.tau * (
+                    info["p_tau"]["student"] - info["p_tau"]["teacher"]
                 )
-                np.testing.assert_array_equal(info["student_grad"], expected)
+                np.testing.assert_array_equal(info["logit_grads"]["student"], expected)
                 assert info["teacher_grad"] is None
                 checked.append(i)
 
         train_pair(cfg, train, test, mode_hook=lambda i, p, s: EXPERT, inspect=inspect)
         assert checked
+
+    def test_network_evaluated_only_after_epochs_it_stepped_in(self, monkeypatch):
+        import switchdistill.training as training
+
+        evaluated = []
+        real = training.evaluate
+        monkeypatch.setattr(training, "evaluate", lambda net, ds: evaluated.append(net) or real(net, ds))
+        train, test = blob_pair()
+        result = train_pair(pair_cfg(epochs=4), train, test, mode_hook=lambda *a: EXPERT)
+        # the student every epoch; the always-frozen teacher once, in epoch 0
+        assert len(evaluated) == 4 + 1
+        assert [row["teacher_acc"] for row in result.epoch_log] == [real(result.networks["teacher"], test)] * 4
+        assert result.epoch_log[-1]["student_acc"] == real(result.networks["student"], test)
 
     def test_mode_recorded_matches_decision_without_hook(self):
         train, test = blob_pair()
@@ -200,6 +227,37 @@ class TestStrategyEquivalence:
             assert params_bytes(pinned.networks[name]) == params_bytes(dml.networks[name])
             assert opt_bytes(pinned.opts[name]) == opt_bytes(dml.opts[name])
         assert pinned.epoch_log == dml.epoch_log
+
+
+class TestObjectiveTable:
+    @pytest.mark.parametrize("strategy", ["vanilla", "kd-offline", "dml", "kdcl", "switch"])
+    def test_folded_gradients_match_the_closed_forms_bit_for_bit(self, strategy):
+        rng = np.random.default_rng(4)
+        alpha, beta, tau = 0.6, 1.5, 3.0
+        y = one_hot(rng.integers(0, 5, size=8), 5)
+        p1 = {n: soften(rng.normal(0, 2, (8, 5)), 1.0) for n in ("student", "teacher")}
+        pt = {n: soften(rng.normal(0, 2, (8, 5)), tau) for n in ("student", "teacher")}
+        topo = TOPOLOGY_TABLE["pair"]
+        table = objectives(strategy, alpha, beta)
+        targets = [pair_targets(table, "teacher", "student", pt)]
+        got = {
+            n: logit_grad(w_ce, terms, p1[n], pt[n], y, tau)
+            for n, (w_ce, terms) in stepping_terms(table, topo, [LEARNING], targets, pt).items()
+        }
+        pm = ensemble_target(pt["student"], pt["teacher"])
+        want = {
+            "vanilla": {"student": p1["student"] - y, "teacher": p1["teacher"] - y},
+            "kd-offline": {"student": kd_logit_grad(p1["student"], pt["student"], pt["teacher"], y, alpha, tau)},
+            "dml": {
+                "student": student_logit_grad(pt["teacher"], p1["student"], pt["student"], y, alpha, tau),
+                "teacher": teacher_logit_grad(p1["teacher"], pt["teacher"], pt["student"], y, beta, tau),
+            },
+            "kdcl": {n: kdcl_logit_grad(p1[n], pt[n], pm, y, tau) for n in ("student", "teacher")},
+        }
+        want["switch"] = want["dml"]
+        assert set(got) == set(want[strategy])
+        for n, g in got.items():
+            np.testing.assert_array_equal(g, want[strategy][n])
 
 
 class TestBaselines:
@@ -399,7 +457,7 @@ class TestConfigAndSchedule:
         lrs = {}
         train_pair(
             cfg, train, test,
-            inspect=lambda i, info: lrs.setdefault(i, (info["student_opt"].lr, info["teacher_opt"].lr)),
+            inspect=lambda i, info: lrs.setdefault(i, (info["opts"]["student"].lr, info["teacher_opt"].lr)),
         )
         per_epoch = len(lrs) // 4
         assert lrs[0] == (ADAM.lr, ADAM.lr)
@@ -442,9 +500,9 @@ class TestConfigAndSchedule:
     def test_pair_state_view(self):
         train, test = blob_pair()
         res = train_pair(pair_cfg(epochs=1), train, test)
-        ps = res.pair_state()
-        assert ps.mode in (LEARNING, EXPERT)
-        assert len(ps.timeline.states) == len(res.iteration_log["teacher_student"])
+        timeline = res.timelines["teacher_student"]
+        assert timeline.states[-1].mode in (LEARNING, EXPERT)
+        assert len(timeline.states) == len(res.iteration_log["teacher_student"])
 
 
 class TestGapTrend:
