@@ -15,21 +15,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
-from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode, epsilon_factor, gap, threshold
-from .losses import (
-    LossBreakdown,
-    ProbDist,
-    ce_loss,
-    degeneration_curve,
-    ensemble_target,
-    entropy,
-    kl_loss,
-    one_hot,
-    soften,
-    student_logit_grad,
-    teacher_logit_grad,
-)
-from .network import Conv2d, Dense, Gradients, NetworkParams, backward, conv_mlp, forward, init_params, mlp
+from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode
+from .losses import ce_loss, degeneration_curve, ensemble_target, kl_loss, one_hot, soften
+from .network import Conv2d, Dense, Gradients, NetworkParams, conv_mlp, forward, init_params, mlp
 from .optim import OptimizerState, init_optimizer, step
 from .training import (
     ModeTimeline,
@@ -53,25 +41,16 @@ __all__ = [
     "GapState",
     "batch_gap_state",
     "decide_mode",
-    "epsilon_factor",
-    "gap",
-    "threshold",
-    "LossBreakdown",
-    "ProbDist",
     "ce_loss",
     "degeneration_curve",
     "ensemble_target",
-    "entropy",
     "kl_loss",
     "one_hot",
     "soften",
-    "student_logit_grad",
-    "teacher_logit_grad",
     "Conv2d",
     "Dense",
     "Gradients",
     "NetworkParams",
-    "backward",
     "conv_mlp",
     "forward",
     "init_params",

@@ -49,14 +49,20 @@ def load_checkpoint(path: str) -> NetworkParams:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     if "header" not in data:
         raise FormatError(f"{path}: missing checkpoint header")
-    header = json.loads(bytes(data["header"]).decode())
-    if header.get("format") != CHECKPOINT_FORMAT:
+    try:
+        header = json.loads(bytes(data["header"]).decode())
+    except ValueError as exc:
+        raise FormatError(f"{path}: checkpoint header is not JSON ({exc})") from exc
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    layers = tuple(_spec_from_dict(d) for d in header["layers"])
-    weights = [data[f"w{i}"] for i in range(len(layers))]
-    biases = [data[f"b{i}"] for i in range(len(layers))]
+    try:
+        layers = tuple(_spec_from_dict(d) for d in header["layers"])
+        weights = [data[f"w{i}"] for i in range(len(layers))]
+        biases = [data[f"b{i}"] for i in range(len(layers))]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
     net = NetworkParams(layers, weights, biases)
     net.validate()
     return net

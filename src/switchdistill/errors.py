@@ -13,10 +13,6 @@ class NumericError(ValueError):
     """A computation produced or received non-finite values."""
 
 
-class DegenerateGapError(DomainError):
-    """Both networks predicted the label exactly; the threshold ratio is undefined."""
-
-
 class FormatError(ValueError):
     """A data file does not conform to its binary or textual format."""
 

@@ -16,12 +16,11 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateGapError, DomainError, ShapeError
-from .losses import _pair, _probs, _reduce
+from .errors import DomainError, ShapeError
+from .losses import _pair, _reduce
 
 LEARNING = "learning"
 EXPERT = "expert"
@@ -60,31 +59,6 @@ class GapState:
         }
 
 
-class ThresholdInfo(NamedTuple):
-    delta: float
-    epsilon: float
-    r: float
-
-
-def gap(p_s_tau, p_t_tau) -> float | np.ndarray:
-    """l1 distance between softened predictions, per sample."""
-    ps, pt = _pair(p_s_tau, p_t_tau)
-    return _reduce(np.abs(ps - pt).sum(axis=-1))
-
-
-def _check_errors(teacher_err: float, student_err: float) -> None:
-    if teacher_err < 0 or student_err < 0:
-        raise DomainError("l1 errors must be non-negative")
-    if teacher_err + student_err == 0:
-        raise DegenerateGapError("both networks match the label exactly; ratio undefined")
-
-
-def epsilon_factor(teacher_err: float, student_err: float) -> float:
-    """exp(-r) with r the teacher's share of the combined l1 error."""
-    _check_errors(teacher_err, student_err)
-    return threshold_from_errors(student_err, teacher_err)[1]
-
-
 def threshold_from_errors(student_err, teacher_err):
     """Vectorized (delta, epsilon, r) from precomputed l1 errors.
 
@@ -103,18 +77,6 @@ def threshold_from_errors(student_err, teacher_err):
     return _reduce(delta), _reduce(eps), _reduce(r)
 
 
-def threshold(p_s_tau, p_t_tau, y) -> ThresholdInfo:
-    """Adaptive switching threshold for one sample."""
-    ps, pt = _pair(p_s_tau, p_t_tau)
-    yv = _probs(y)
-    if yv.shape != ps.shape:
-        raise ShapeError(f"label shape {yv.shape} != distribution shape {ps.shape}")
-    student_err = float(np.abs(ps - yv).sum(axis=-1))
-    teacher_err = float(np.abs(pt - yv).sum(axis=-1))
-    _check_errors(teacher_err, student_err)
-    return ThresholdInfo(*threshold_from_errors(student_err, teacher_err))
-
-
 def decide_mode(g: float, delta: float) -> str:
     """Learning mode iff G <= delta; ties go to learning."""
     return LEARNING if g <= delta else EXPERT
@@ -127,7 +89,7 @@ def batch_gap_state(p_s_tau, p_t_tau, y, iteration: int) -> GapState:
     before the comparison, so each iteration yields exactly one mode.
     """
     ps, pt = _pair(p_s_tau, p_t_tau)
-    yv = _probs(y)
+    yv = np.asarray(y, dtype=np.float64)
     if ps.ndim != 2:
         raise ShapeError(f"expected (batch, classes) arrays, got shape {ps.shape}")
     if yv.shape != ps.shape:

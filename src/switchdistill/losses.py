@@ -1,6 +1,6 @@
 """Probability-space math for distillation: temperature softmax, cross-entropy,
-KL divergence, and the analytic logit gradients of every composite loss used
-by the training strategies.
+KL divergence, and the closed-form logit gradients of the pair strategies'
+losses (the trainer folds its own; these are the references it is tested against).
 
 All functions work on the last axis, so a (K,) vector and a (batch, K) matrix
 go through the same code path. Scalar results are returned as floats for 1-D
@@ -11,8 +11,6 @@ KL term carries a tau^2 factor so its logit gradient is coeff * tau * (p - q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -20,50 +18,8 @@ from .errors import DomainError, ShapeError
 LOG_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class ProbDist:
-    """A point on the probability simplex tagged with the temperature that produced it."""
-
-    probs: np.ndarray
-    temperature: float = 1.0
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
-        if self.temperature <= 0:
-            raise DomainError("temperature must be positive")
-        if p.shape[-1] < 2:
-            raise ShapeError("a distribution needs at least 2 classes")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
-            raise DomainError("entries must be non-negative and sum to 1")
-
-    @classmethod
-    def from_logits(cls, logits: np.ndarray, tau: float = 1.0) -> "ProbDist":
-        return cls(soften(logits, tau), temperature=tau)
-
-    @classmethod
-    def point_mass(cls, label: int, num_classes: int) -> "ProbDist":
-        return cls(one_hot(np.asarray(label), num_classes), temperature=1.0)
-
-
-@dataclass
-class LossBreakdown:
-    """Cross-entropy and weighted KL components of one network's loss."""
-
-    ce: float
-    kl: float
-    total: float
-    logit_grad: np.ndarray
-
-
-def _probs(x) -> np.ndarray:
-    if isinstance(x, ProbDist):
-        return x.probs
-    return np.asarray(x, dtype=np.float64)
-
-
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    pa, pb = _probs(a), _probs(b)
+    pa, pb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if pa.shape != pb.shape:
         raise ShapeError(f"distribution shapes differ: {pa.shape} vs {pb.shape}")
     return pa, pb
@@ -89,11 +45,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise DomainError("label outside [0, num_classes)")
     return np.eye(num_classes)[labels]
-
-
-def entropy(dist) -> float | np.ndarray:
-    p = _probs(dist)
-    return _reduce(-(p * np.log(np.maximum(p, LOG_CLAMP))).sum(axis=-1))
 
 
 def ce_loss(target, pred) -> float | np.ndarray:
@@ -161,8 +112,8 @@ def degeneration_curve(p_s_tau, y, lambdas) -> list[tuple[float, float]]:
     As lam -> 0 the teacher collapses onto the one-hot label and the KL value
     approaches the plain cross-entropy.
     """
-    ps = _probs(p_s_tau)
-    yv = _probs(y)
+    ps = np.asarray(p_s_tau, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
     if ps.ndim != 1 or yv.shape != ps.shape:
         raise ShapeError("expects single-sample distributions of equal length")
     if not (np.all((yv == 0) | (yv == 1)) and yv.sum() == 1):

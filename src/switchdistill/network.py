@@ -134,15 +134,8 @@ class NetworkParams:
                 raise ShapeError(f"layer {i} has non-finite parameters")
 
     @property
-    def in_features(self) -> int:
-        return self.layers[0].in_features
-
-    @property
     def out_features(self) -> int:
         return self.layers[-1].out_features
-
-    def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.layers, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -330,8 +323,3 @@ def backward_from_cache(
                 d = dx.reshape(batch, spec.in_features)
     return grads
 
-
-def backward(net: NetworkParams, batch: np.ndarray, logit_grads: np.ndarray) -> Gradients:
-    """Gradient of mean_b(logit_grads[b] . logits[b]) w.r.t. every parameter."""
-    _, cache = forward_with_cache(net, batch)
-    return backward_from_cache(net, cache, logit_grads)

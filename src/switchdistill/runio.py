@@ -50,11 +50,6 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def read_csv(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        return list(csv.DictReader(f))
-
-
 def _iteration_file(pair_name: str, single: bool) -> str:
     return "iterations.jsonl" if single else f"iterations_{pair_name}.jsonl"
 

@@ -125,13 +125,18 @@ class TrainConfig:
 
     def validate(self) -> None:
         nets = {"student": self.student, "teacher": self.teacher, "third": self.third}
+        opts = {name: defn.opt for name, defn in nets.items() if defn is not None}
         numbers = {"alpha": self.alpha, "beta": self.beta, "tau": self.tau, "lr.gamma": self.lr_gamma}
-        for name, defn in nets.items():
-            if defn is not None:
-                numbers.update({f"{name}.lr": defn.opt.lr, f"{name}.weight_decay": defn.opt.weight_decay})
+        for name, opt in opts.items():
+            numbers.update({f"{name}.{key}": getattr(opt, key) for key in ("lr", "momentum", "weight_decay")})
         for key, value in numbers.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
+            if key.endswith((".lr", ".weight_decay")) and value < 0:
+                raise ConfigError(f"{key}: must be non-negative, got {value}")
+        for name, opt in opts.items():
+            if not 0.0 <= opt.momentum < 1.0:
+                raise ConfigError(f"{name}.momentum: must be in [0, 1), got {opt.momentum}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}, expected one of {STRATEGIES}")
         if self.topology not in TOPOLOGIES:

@@ -1,22 +1,26 @@
-"""Finite-difference verification of the logit gradients the trainer applies.
+"""Finite-difference verification of analytic gradients, on one five-point stencil.
 
-For every strategy and every role it trains (the switching strategy's
-three-network roles included) this builds random (logits, label) instances,
-folds the gradient from the trainer's own objective table, and compares it
-against central finite differences of the same objective evaluated through
-the temperature softmax. Partner, peer and ensemble targets are held
-constant, exactly as the trainer's gradients assume.
+``logit_grad_check`` covers the logit gradient of every role the trainer
+steps under each strategy, the switching strategy's triples included: it
+folds the gradient from the trainer's own objective table on random
+(logits, label) instances and differentiates the same objective through the
+temperature softmax, holding partner, peer and ensemble targets constant as
+the trainer does. ``param_grad_check`` checks any network's parameter
+gradients against a loss closure, one case per layer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .gap import LEARNING
 from .losses import ce_loss, kl_loss, one_hot, soften
+from .network import Gradients, NetworkParams
 from .training import (
     STRATEGIES,
     STUDENT,
@@ -32,9 +36,7 @@ from .training import (
 
 @dataclass
 class GradCheckCase:
-    strategy: str
-    role: str
-    tau: float
+    name: str  # what was differentiated: a strategy's role at a temperature, or "layer i"
     max_rel_error: float
     ok: bool
 
@@ -53,10 +55,19 @@ class GradCheckReport:
         return all(c.ok for c in self.cases)
 
     def lines(self) -> list[str]:
-        return [
-            f"{'ok' if c.ok else 'FAIL':4s} {c.strategy:10s} {c.role:12s} tau={c.tau:<4g} max_rel_err={c.max_rel_error:.3e}"
-            for c in self.cases
-        ]
+        return [f"{'ok' if c.ok else 'FAIL':4s} {c.name} max_rel_err={c.max_rel_error:.3e}" for c in self.cases]
+
+
+def _max_rel_error(analytic: np.ndarray, shifted: Callable[[float], np.ndarray], h: float) -> float:
+    """Worst relative error of ``analytic`` against five-point central differences.
+
+    ``shifted(d)`` returns, for each coordinate j, the objective with
+    coordinate j alone moved by d.
+    """
+    up, down, up2, down2 = (shifted(c * h) for c in (1.0, -1.0, 2.0, -2.0))
+    numeric = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)  # five-point stencil, error O(h^4)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def logit_grad_check(
@@ -104,15 +115,9 @@ def logit_grad_check(
                 kls = [(w, kl_loss(np.broadcast_to(q, zs.shape), soften(zs, tau))) for w, q in terms]
                 return objective_value(w_ce, ce_loss(np.broadcast_to(y, zs.shape), soften(zs, 1.0)), kls, tau)
 
-            offsets = np.concatenate([c * h * np.eye(k) for c in (1.0, -1.0, 2.0, -2.0)])
-            up, down, up2, down2 = value(z[name] + offsets).reshape(4, k)
-            numeric = (8.0 * (up - down) - (up2 - down2)) / (12.0 * h)  # five-point stencil, error O(h^4)
-            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
+            worst = max(worst, _max_rel_error(analytic, lambda d: value(z[name] + d * np.eye(k)), h))
         role = name if topology == "pair" else f"{topology} {name}"
-        cases.append(
-            GradCheckCase(strategy=strategy, role=role, tau=tau, max_rel_error=worst, ok=worst <= tolerance)
-        )
+        cases.append(GradCheckCase(f"{strategy:10s} {role:12s} tau={tau:<4g}", worst, worst <= tolerance))
     return GradCheckReport(cases=cases, tolerance=tolerance)
 
 
@@ -133,4 +138,48 @@ def full_grad_check(
                 strategy, tau=tau, alpha=a, beta=beta, seed=seed, trials=trials, tolerance=tolerance
             )
             cases.extend(report.cases)
+    return GradCheckReport(cases=cases, tolerance=tolerance)
+
+
+def param_grad_check(
+    net: NetworkParams,
+    loss_fn: Callable[[NetworkParams], float],
+    grad_fn: Callable[[NetworkParams], Gradients],
+    tolerance: float = 1e-4,
+    h: float = 1e-5,
+) -> GradCheckReport:
+    """Compare ``grad_fn(net)`` against finite differences of ``loss_fn``, one case per layer.
+
+    Each entry is moved in place on one copy of ``net`` and restored, so
+    memory stays linear in the parameter count. The stencil reaches 2h, and
+    a ReLU pre-activation within that reach makes the loss non-smooth, hence
+    a smaller default step than the logit check's. A non-finite loss raises
+    NumericError.
+    """
+
+    def loss(params: NetworkParams) -> float:
+        value = float(loss_fn(params))
+        if not math.isfinite(value):
+            raise NumericError(f"loss closure returned non-finite value {value}")
+        return value
+
+    def shifted(flat: np.ndarray, d: float) -> np.ndarray:
+        values = np.empty(flat.size)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + d
+            values[j] = loss(probe)
+            flat[j] = orig
+        return values
+
+    loss(net)  # fail fast on a broken closure
+    analytic = grad_fn(net)
+    probe = net.copy()
+    cases = []
+    for i in range(len(net.layers)):
+        worst = 0.0
+        for arr, grad in ((probe.weights[i], analytic.weights[i]), (probe.biases[i], analytic.biases[i])):
+            flat = arr.reshape(-1)  # a view: the copy's arrays are contiguous
+            worst = max(worst, _max_rel_error(np.ravel(grad), lambda d: shifted(flat, d), h))
+        cases.append(GradCheckCase(f"layer {i}", worst, worst <= tolerance))
     return GradCheckReport(cases=cases, tolerance=tolerance)

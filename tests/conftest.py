@@ -1,6 +1,11 @@
 """Shared fixtures; the reference-task runs are expensive and reused."""
 
+import os
 import time
+
+# One OpenBLAS thread, as the CLI runs: the pin in switchdistill's __init__ comes
+# too late once NumPy is loaded, so set it before the imports below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

@@ -1,5 +1,7 @@
 """Checkpoint round-trips must be bit-exact, headers versioned."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -37,4 +39,35 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "garbage.npz"
         path.write_bytes(b"not an archive")
         with pytest.raises(FormatError):
+            load_checkpoint(str(path))
+
+
+def write_archive(path, header: bytes, **arrays):
+    np.savez(str(path), header=np.frombuffer(header, dtype=np.uint8), **arrays)
+
+
+class TestMalformedCheckpoint:
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        write_archive(path, b"{not json")
+        with pytest.raises(FormatError, match=str(path)):
+            load_checkpoint(str(path))
+
+    def test_unknown_layer_field(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        layer = {"type": "dense", "in_dim": 2, "out_dim": 2, "activation": "none", "color": "red"}
+        header = {"format": "switchdistill-net", "version": 1, "layers": [layer]}
+        write_archive(path, json.dumps(header).encode(), w0=np.zeros((2, 2)), b0=np.zeros(2))
+        with pytest.raises(FormatError, match=str(path)):
+            load_checkpoint(str(path))
+
+    def test_missing_weight_array(self, tmp_path):
+        net = init_params(mlp(3, (4,), 2), 0)
+        good = str(tmp_path / "good.npz")
+        save_checkpoint(good, net)
+        with np.load(good) as data:
+            arrays = {k: data[k] for k in data.files if k != "w0"}
+        path = tmp_path / "bad.npz"
+        np.savez(str(path), **arrays)
+        with pytest.raises(FormatError, match=str(path)):
             load_checkpoint(str(path))

@@ -94,6 +94,12 @@ class TestTrainCommand:
             ["student.lr=nan"],
             ["teacher.weight_decay=inf"],
             ["topology=1t2s", "third.lr=-inf"],
+            # optimizer settings out of range fail here too, not at optimizer init
+            ["student.momentum=nan"],
+            ["student.momentum=1.0"],
+            ["student.lr=-1"],
+            ["teacher.weight_decay=-1"],
+            ["topology=1t2s", "third.momentum=-0.1"],
         ],
     )
     def test_non_finite_number_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys, overrides):

@@ -8,18 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchdistill.errors import DegenerateGapError, DomainError, ShapeError
-from switchdistill.gap import (
-    EXPERT,
-    LEARNING,
-    GapState,
-    batch_gap_state,
-    decide_mode,
-    epsilon_factor,
-    gap,
-    threshold,
-    threshold_from_errors,
-)
+from switchdistill.errors import DomainError, ShapeError
+from switchdistill.gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode, threshold_from_errors
 from switchdistill.losses import one_hot, soften
 
 
@@ -29,21 +19,31 @@ def random_simplex(rng, n, k):
     return x / x.sum(axis=1, keepdims=True)
 
 
+def one_sample(ps, pt, y):
+    """The switching rule on a batch of one sample."""
+    return batch_gap_state(ps[None], pt[None], y[None], 0)
+
+
+def epsilon_factor(teacher_err, student_err):
+    return threshold_from_errors(student_err, teacher_err)[1]
+
+
 class TestGap:
     def test_identical_is_zero(self):
         p = soften(np.array([0.5, -0.5, 1.0]), 1.0)
-        assert gap(p, p) == 0.0
+        assert one_sample(p, p, one_hot(0, 3)).G == 0.0
 
     def test_disjoint_one_hots_hit_the_maximum(self):
-        assert gap(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
+        assert one_sample(np.array([1.0, 0.0]), np.array([0.0, 1.0]), one_hot(0, 2)).G == 2.0
 
     def test_scalar_oracle(self):
         # |0.5-0.8| + |0.3-0.1| + |0.2-0.1| summed by hand
-        assert gap(np.array([0.5, 0.3, 0.2]), np.array([0.8, 0.1, 0.1])) == pytest.approx(0.6)
+        state = one_sample(np.array([0.5, 0.3, 0.2]), np.array([0.8, 0.1, 0.1]), one_hot(0, 3))
+        assert state.G == pytest.approx(0.6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            gap(np.array([0.5, 0.5]), np.array([1 / 3] * 3))
+            one_sample(np.array([0.5, 0.5]), np.array([1 / 3] * 3), one_hot(0, 2))
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=100, deadline=None)
@@ -52,9 +52,9 @@ class TestGap:
         ps = random_simplex(rng, 1, k)[0]
         pt = random_simplex(rng, 1, k)[0]
         y = one_hot(int(rng.integers(k)), k)
-        g = gap(ps, pt)
+        g = one_sample(ps, pt, y).G
         assert 0.0 <= g <= 2.0
-        assert g >= gap(ps, y) - gap(pt, y) - 1e-12
+        assert g >= one_sample(ps, y, y).G - one_sample(pt, y, y).G - 1e-12
 
 
 class TestEpsilonFactor:
@@ -69,14 +69,6 @@ class TestEpsilonFactor:
         assert got == pytest.approx(math.exp(-0.4 / 1.4), rel=1e-12)
         assert got == pytest.approx(0.7515, abs=1e-4)
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateGapError):
-            epsilon_factor(0.0, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            epsilon_factor(-0.1, 1.0)
-
     def test_monotone_decreasing_in_teacher_error(self):
         values = [epsilon_factor(t, 1.0) for t in np.linspace(0.01, 2.0, 50)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -87,7 +79,7 @@ class TestThreshold:
     def test_equal_distributions_reduce_symmetrically(self):
         p = soften(np.array([1.0, 0.2, -0.3]), 1.0)
         y = one_hot(0, 3)
-        info = threshold(p, p, y)
+        info = one_sample(p, p, y)
         err = float(np.abs(p - y).sum())
         assert info.delta == pytest.approx(err * (1.0 - math.exp(-0.5)), rel=1e-12)
 
@@ -95,7 +87,7 @@ class TestThreshold:
         ps = np.array([0.5, 0.3, 0.2])
         pt = np.array([0.8, 0.1, 0.1])
         y = one_hot(0, 3)
-        info = threshold(ps, pt, y)
+        info = one_sample(ps, pt, y)
         eps = math.exp(-0.4 / 1.4)
         assert info.epsilon == pytest.approx(eps, rel=1e-12)
         assert info.delta == pytest.approx(1.0 - eps * 0.4, rel=1e-12)
@@ -105,16 +97,11 @@ class TestThreshold:
     def test_one_hot_correct_teacher_hits_upper_bound(self):
         ps = np.array([0.5, 0.3, 0.2])
         y = one_hot(0, 3)
-        info = threshold(ps, y, y)
+        info = one_sample(ps, y, y)
         assert info.epsilon == 1.0
         assert info.delta == pytest.approx(1.0)  # |p_s - y|_1
         # the tie rule still applies: G = delta here -> learning
-        assert decide_mode(gap(ps, y), info.delta) == LEARNING
-
-    def test_degenerate_propagates(self):
-        y = one_hot(1, 2)
-        with pytest.raises(DegenerateGapError):
-            threshold(y, y, y)
+        assert decide_mode(info.G, info.delta) == LEARNING
 
     def test_corridor_randomized(self):
         rng = np.random.default_rng(99)
@@ -171,10 +158,10 @@ class TestBatchGapState:
         pt = np.array([[0.8, 0.1, 0.1]])
         y = one_hot(np.array([0]), 3)
         state = batch_gap_state(ps, pt, y, iteration=4)
-        info = threshold(ps[0], pt[0], y[0])
+        delta, epsilon, _ = threshold_from_errors(1.0, 0.4)  # |p_s - y|_1, |p_t - y|_1
         assert state.G == pytest.approx(0.6)
-        assert state.delta == pytest.approx(info.delta)
-        assert state.epsilon == pytest.approx(info.epsilon)
+        assert state.delta == pytest.approx(delta)
+        assert state.epsilon == pytest.approx(epsilon)
         assert state.mode == LEARNING
         assert state.iteration == 4
 

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from switchdistill.errors import DomainError, ShapeError
 from switchdistill.losses import (
-    ProbDist,
     ce_loss,
     degeneration_curve,
     ensemble_target,
-    entropy,
     kd_logit_grad,
     kdcl_logit_grad,
     kl_loss,
@@ -27,6 +25,10 @@ from switchdistill.losses import (
 finite_logits = st.lists(
     st.floats(min_value=-30, max_value=30, allow_nan=False), min_size=2, max_size=8
 )
+
+
+def entropy(p):
+    return -(p * np.log(np.maximum(p, 1e-12))).sum(axis=-1)
 
 
 def fd_logit_grad(loss_fn, z, h=1e-6):
@@ -283,27 +285,7 @@ class TestDegenerationCurve:
             degeneration_curve(self.ps, np.array([0.5, 0.5, 0.0, 0.0]), [0.5])
 
 
-class TestProbDist:
-    def test_from_logits_records_temperature(self):
-        d = ProbDist.from_logits(np.array([1.0, 0.0]), tau=3.0)
-        assert d.temperature == 3.0
-        np.testing.assert_allclose(d.probs, soften(np.array([1.0, 0.0]), 3.0))
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(DomainError):
-            ProbDist(np.array([0.6, 0.6]))
-        with pytest.raises(DomainError):
-            ProbDist(np.array([-0.1, 1.1]))
-
-    def test_point_mass(self):
-        d = ProbDist.point_mass(1, 3)
-        np.testing.assert_array_equal(d.probs, [0.0, 1.0, 0.0])
-
-    def test_accepted_by_loss_functions(self):
-        a = ProbDist.from_logits(np.array([1.0, 0.0]))
-        b = ProbDist.from_logits(np.array([0.0, 1.0]))
-        assert kl_loss(a, b) > 0
-
+class TestOneHot:
     def test_one_hot_domain(self):
         with pytest.raises(DomainError):
             one_hot(3, 3)

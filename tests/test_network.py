@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from switchdistill.errors import DomainError, NumericError, ShapeError
-from switchdistill.gradcheck import grad_check
 from switchdistill.network import (
     Conv2d,
     Dense,
@@ -13,7 +12,7 @@ from switchdistill.network import (
     NetworkParams,
     _col2im,
     _im2col,
-    backward,
+    backward_from_cache,
     conv_mlp,
     forward,
     forward_with_cache,
@@ -21,10 +20,27 @@ from switchdistill.network import (
     mlp,
 )
 from switchdistill.optim import OptimizerState, init_optimizer, step
+from switchdistill.verify import param_grad_check
+
+# Dense and conv stacks: conv strides 1, 2 and 3, a non-square map and C > 1.
+STACKS = [
+    (mlp(3, (5,), 2), 3),
+    (mlp(4, (6, 5), 3), 4),
+    (conv_mlp((1, 5, 5), (2,), (4,), 2, kernel=3, stride=1), 25),
+    (conv_mlp((1, 9, 9), (2, 3), (), 2, kernel=3, stride=2), 81),
+    # stride 3 on a non-square map, in the second layer so the input gradient runs too
+    ((Conv2d(2, 3, 7, 10, 2, 1), Conv2d(3, 2, 6, 9, 3, 3), Dense(12, 2)), 140),
+]
 
 
 def small_dense_net(seed=0, in_dim=3, hidden=4, out_dim=2):
     return init_params(mlp(in_dim, (hidden,), out_dim), seed)
+
+
+def backward(net, batch, logit_grads):
+    """Gradient of mean_b(logit_grads[b] . logits[b]) w.r.t. every parameter."""
+    _, cache = forward_with_cache(net, batch)
+    return backward_from_cache(net, cache, logit_grads)
 
 
 class TestForward:
@@ -106,17 +122,7 @@ class TestBackward:
         for dw2, dw1 in zip(doubled.weights, base.weights):
             np.testing.assert_allclose(dw2, 2.0 * dw1, rtol=1e-12)
 
-    @pytest.mark.parametrize(
-        "layers,in_dim",
-        [
-            (mlp(3, (5,), 2), 3),
-            (mlp(4, (6, 5), 3), 4),
-            (conv_mlp((1, 5, 5), (2,), (4,), 2, kernel=3, stride=1), 25),
-            (conv_mlp((1, 9, 9), (2, 3), (), 2, kernel=3, stride=2), 81),
-            # stride 3 on a non-square map, in the second layer so the input gradient runs too
-            ((Conv2d(2, 3, 7, 10, 2, 1), Conv2d(3, 2, 6, 9, 3, 3), Dense(12, 2)), 140),
-        ],
-    )
+    @pytest.mark.parametrize("layers,in_dim", STACKS)
     def test_matches_finite_differences(self, layers, in_dim):
         # oracle: central differences of mean_b(g_b . z_b) over every parameter
         net = init_params(layers, 11)
@@ -228,7 +234,7 @@ class TestConvEngine:
     )
     def test_forward_matches_cached_forward_bit_for_bit(self, layers):
         net = init_params(layers, 4)
-        x = np.random.default_rng(5).uniform(size=(7, net.in_features))
+        x = np.random.default_rng(5).uniform(size=(7, layers[0].in_features))
         logits, cache = forward_with_cache(net, x)
         assert len(cache) == len(layers)
         assert forward(net, x).tobytes() == logits.tobytes()
@@ -322,14 +328,15 @@ class TestGradCheck:
         def grad(p):
             return Gradients([2.0 * (p.weights[0] - 3.0)], [2.0 * p.biases[0]])
 
-        report = grad_check(net, loss, grad, tolerance=1e-6)
+        report = param_grad_check(net, loss, grad, tolerance=1e-6)
         assert report.ok
         assert report.max_rel_error < 1e-6
 
-    def test_ce_through_softmax(self):
-        net = small_dense_net(in_dim=3, hidden=4, out_dim=2)
+    @pytest.mark.parametrize("layers,in_dim", STACKS)
+    def test_ce_through_softmax(self, layers, in_dim):
+        net = init_params(layers, 11)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 3))
+        x = rng.normal(size=(4, in_dim))
         labels = np.array([0, 1, 1, 0])
 
         def probs(p):
@@ -347,14 +354,15 @@ class TestGradCheck:
             g[np.arange(4), labels] -= 1.0
             return backward(p, x, g)
 
-        report = grad_check(net, loss, grad, tolerance=1e-4)
+        report = param_grad_check(net, loss, grad, tolerance=1e-4)
         assert report.ok
         assert report.max_rel_error < 1e-4
 
-    def test_corrupted_gradient_is_flagged(self):
-        net = small_dense_net(in_dim=3, hidden=4, out_dim=2)
-        x = np.random.default_rng(4).normal(size=(3, 3))
-        g = np.random.default_rng(5).normal(size=(3, 2))
+    @pytest.mark.parametrize("layers,in_dim", STACKS)
+    def test_corrupted_gradient_is_flagged(self, layers, in_dim):
+        net = init_params(layers, 11)
+        x = np.random.default_rng(4).normal(size=(3, in_dim))
+        g = np.random.default_rng(5).normal(size=(3, net.out_features))
 
         def loss(p):
             return float(np.mean(np.sum(g * forward(p, x), axis=1)))
@@ -364,14 +372,14 @@ class TestGradCheck:
             grads.weights[1] = grads.weights[1] * 2.0
             return grads
 
-        report = grad_check(net, loss, bad_grad, tolerance=1e-4)
+        report = param_grad_check(net, loss, bad_grad, tolerance=1e-4)
         assert not report.ok
-        assert report.failing_layers() == [1]
+        assert [c.name for c in report.cases if not c.ok] == ["layer 1"]
 
     def test_non_finite_loss_raises(self):
         net = small_dense_net()
         with pytest.raises(NumericError):
-            grad_check(net, lambda p: float("nan"), lambda p: Gradients.zeros_like(p), 1e-4)
+            param_grad_check(net, lambda p: float("nan"), lambda p: Gradients.zeros_like(p), 1e-4)
 
 
 class TestArchitecture:
