@@ -91,7 +91,6 @@ def cmd_compare(args) -> int:
         setups.append((label, build_setup(values)))
     if not args.allow_mismatch:
         check_comparable(setups)
-    os.makedirs(args.out, exist_ok=True)
     rows = []
     for i, (label, setup) in enumerate(setups):
         run_dir = os.path.join(args.out, f"run_{i:02d}_{label}")

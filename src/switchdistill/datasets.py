@@ -108,12 +108,18 @@ def _read_be_u32(data: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+
+
 def load_idx(images_path: str, labels_path: str, split: str = "train") -> Dataset:
     """Parse an IDX image/label file pair into a [0, 1]-scaled Dataset."""
-    with open(images_path, "rb") as f:
-        img_data = f.read()
-    with open(labels_path, "rb") as f:
-        lbl_data = f.read()
+    img_data = _read_bytes(images_path)
+    lbl_data = _read_bytes(labels_path)
 
     magic = _read_be_u32(img_data, 0, images_path)
     if magic != IDX_IMAGES_MAGIC:
@@ -155,8 +161,7 @@ def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Data
         raise DomainError("num_classes must be 10 or 100")
     label_bytes = 1 if num_classes == 10 else 2
     record = label_bytes + 3072
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read_bytes(path)
     if len(data) % record != 0:
         raise FormatError(
             f"{path}: length {len(data)} is not a multiple of the {record}-byte record"

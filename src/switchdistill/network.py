@@ -9,6 +9,7 @@ networks can train concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,13 +201,22 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int | np.random.Generator) 
     return net
 
 
+@lru_cache(maxsize=64)
+def _patch_index(c: int, h: int, w: int, kernel: int, stride: int) -> np.ndarray:
+    """(oh * ow, C * k * k) flat indices into one (C, H, W) sample: the patch matrix of its pixel numbers."""
+    pixels = np.arange(c * h * w).reshape(c, h, w)
+    windows = np.lib.stride_tricks.sliding_window_view(pixels, (kernel, kernel), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]  # (C, oh, ow, k, k)
+    oh, ow = windows.shape[1:3]
+    idx = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kernel * kernel)
+    idx.flags.writeable = False  # shared by every caller through the cache
+    return idx
+
+
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, copied from one strided view."""
-    b, c = x.shape[:2]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, oh, ow, k, k)
-    oh, ow = windows.shape[2:4]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh * ow, c * kernel * kernel)
+    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, one gather through a cached index."""
+    b, c, h, w = x.shape
+    return np.take(x.reshape(b, c * h * w), _patch_index(c, h, w, kernel, stride), axis=1)
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from .network import Gradients, NetworkParams
 
 SGD = "sgd"
 ADAM = "adam"
+OPTIMIZERS = (SGD, ADAM)
 
 
 @dataclass
@@ -35,7 +36,7 @@ class OptimizerState:
     slots: dict[str, Gradients] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (SGD, ADAM):
+        if self.kind not in OPTIMIZERS:
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
         if self.lr < 0:
             raise DomainError("learning rate must be non-negative")

@@ -55,11 +55,15 @@ def _iteration_file(pair_name: str, single: bool) -> str:
 
 
 def execute_run(setup: RunSetup, run_dir: str) -> tuple[TrainResult, dict]:
-    """Train per the setup and write every artifact plus the manifest."""
-    os.makedirs(run_dir, exist_ok=True)
+    """Train per the setup and write every artifact plus the manifest.
+
+    The run directory is created only once training has finished, so a run
+    that fails before then leaves nothing behind.
+    """
     started = datetime.now(timezone.utc).isoformat()
     train_ds, test_ds = setup.data.build()
     result = run_training(setup.train, train_ds, test_ds)
+    os.makedirs(run_dir, exist_ok=True)
 
     artifacts: list[str] = []
 

@@ -34,7 +34,7 @@ from .losses import (  # the closed-form gradients stay importable here: perfben
     teacher_logit_grad,
 )
 from .network import NetworkParams, backward_from_cache, conv_mlp, forward, forward_with_cache, init_params, mlp
-from .optim import OptimizerState, init_optimizer, step
+from .optim import OPTIMIZERS, OptimizerState, init_optimizer, step
 
 STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
 STUDENT, TEACHER = "student", "teacher"
@@ -135,6 +135,8 @@ class TrainConfig:
             if key.endswith((".lr", ".weight_decay")) and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
         for name, opt in opts.items():
+            if opt.kind not in OPTIMIZERS:
+                raise ConfigError(f"{name}.optimizer: unknown value {opt.kind!r}, expected one of {OPTIMIZERS}")
             if not 0.0 <= opt.momentum < 1.0:
                 raise ConfigError(f"{name}.momentum: must be in [0, 1), got {opt.momentum}")
         if self.strategy not in STRATEGIES:
@@ -228,8 +230,12 @@ def scheduled_lr(base_lr: float, epoch: int, milestones: tuple[int, ...], gamma:
     return base_lr * (gamma**passed)
 
 
-def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 2048) -> float:
-    """Top-1 accuracy under the argmax of the unit-temperature softmax."""
+def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 64) -> float:
+    """Top-1 accuracy under the argmax of the unit-temperature softmax.
+
+    Rows go through the network ``chunk`` at a time, so the conv layers'
+    patch matrices and pre-activations are sized by the chunk, not the set.
+    """
     if len(ds) == 0:
         raise DomainError("cannot evaluate on an empty dataset")
     hits = 0

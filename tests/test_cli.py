@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from switchdistill import training
 from switchdistill.cli import main
+from switchdistill.errors import DomainError
 from switchdistill.runio import read_jsonl
 
 SMALL_CFG = """
@@ -30,6 +32,14 @@ teacher.lr = 0.02
 def cfg_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(SMALL_CFG)
+    return str(path)
+
+
+def missing_data_cfg(tmp_path):
+    """A CIFAR-layout config whose data files do not exist."""
+    path = tmp_path / "missing_data.cfg"
+    gone = tmp_path / "gone.bin"
+    path.write_text(f"data.kind = cifar\ndata.classes = 10\ndata.train_path = {gone}\ndata.test_path = {gone}\n")
     return str(path)
 
 
@@ -112,6 +122,39 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {key}:"), err
         assert not os.path.exists(tmp_path / "r")
 
+    def test_unknown_optimizer_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg_file, "--out", str(out), "--set", "student.optimizer=nadam"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: student.optimizer: unknown value 'nadam', expected one of ('sgd', 'adam')"
+        assert not os.path.exists(out)
+
+    def test_missing_data_file_leaves_no_run_dir(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--config", missing_data_cfg(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "gone.bin" in err, err
+        assert not os.path.exists(out)
+
+    def test_optimizer_init_failure_leaves_no_run_dir(self, cfg_file, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise DomainError("optimizer refused")
+
+        monkeypatch.setattr(training, "init_optimizer", refuse)
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg_file, "--out", str(out)]) == 2
+        assert not os.path.exists(out)
+
+    def test_unreadable_teacher_checkpoint_leaves_no_run_dir(self, cfg_file, tmp_path, capsys):
+        ckpt = tmp_path / "teacher.npz"
+        ckpt.write_bytes(b"not a checkpoint")
+        out = tmp_path / "r"
+        args = ["train", "--config", cfg_file, "--out", str(out)]
+        args += ["--set", "strategy=kd-offline", "--set", f"kd.teacher_checkpoint={ckpt}"]
+        assert main(args) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not os.path.exists(out)
+
     def test_input_config_never_modified(self, cfg_file, tmp_path):
         before = open(cfg_file).read()
         main(["train", "--config", cfg_file, "--out", str(tmp_path / "r")])
@@ -159,6 +202,11 @@ class TestCompareCommand:
             [tuple(sorted(r.items())) for r in rows[2:]],
         ]
         assert halves[0] == halves[1]
+
+    def test_failed_first_run_leaves_no_output_dir(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", missing_data_cfg(tmp_path), "--out", str(out)]) == 1
+        assert not os.path.exists(out)
 
     def test_mismatched_seed_rejected(self, tmp_path):
         a = tmp_path / "a.cfg"

@@ -109,6 +109,14 @@ class TestIdxLoader:
         with pytest.raises(FormatError, match="byte"):
             load_idx(str(img_path), str(lbl_path))
 
+    @pytest.mark.parametrize("missing", ["images", "labels"])
+    def test_missing_file_names_the_path(self, tmp_path, missing):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        gone = str(tmp_path / "nowhere.idx")
+        args = (gone, lbl) if missing == "images" else (img, gone)
+        with pytest.raises(FormatError, match="nowhere.idx: cannot read"):
+            load_idx(*args)
+
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((2, 2, 2), dtype=np.uint8)
         labels = np.zeros(2, dtype=np.uint8)
@@ -150,6 +158,14 @@ class TestCifarLoader:
         path.write_bytes(bytes(3072))  # missing label byte
         with pytest.raises(FormatError, match="multiple"):
             load_cifar_binary(str(path), 10)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        with pytest.raises(FormatError, match="nowhere.bin: cannot read"):
+            load_cifar_binary(str(tmp_path / "nowhere.bin"), 10)
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read"):
+            load_cifar_binary(str(tmp_path), 10)
 
     def test_bad_num_classes(self, tmp_path):
         path = tmp_path / "x.bin"

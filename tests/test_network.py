@@ -207,6 +207,14 @@ class TestConvEngine:
         assert out.shape == loop_im2col(x, k, s).shape
 
     @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+    def test_im2col_reuses_its_index_across_batch_sizes(self, geometry):
+        _, c, h, w, k, s = geometry
+        rng = np.random.default_rng(3)
+        for b in (1, 5):
+            x = rng.normal(size=(b, c, h, w))
+            assert _im2col(x, k, s).tobytes() == loop_im2col(x, k, s).tobytes()
+
+    @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
     def test_col2im_matches_loop_oracle_bit_for_bit(self, geometry):
         b, c, h, w, k, s = geometry
         positions = ((h - k) // s + 1) * ((w - k) // s + 1)

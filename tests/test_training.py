@@ -1,6 +1,8 @@
 """Training-loop tests: mode switching, frozen-teacher guarantees, baseline
 strategy behavior, bit-level strategy equivalence, triples, and evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from switchdistill.losses import (
     student_logit_grad,
     teacher_logit_grad,
 )
-from switchdistill.network import Dense, NetworkParams, init_params, mlp
+from switchdistill.network import Dense, NetworkParams, conv_mlp, forward, init_params, mlp
 from switchdistill.training import (
     TOPOLOGY_TABLE,
     ModeTimeline,
@@ -437,6 +439,34 @@ class TestEvaluate:
         out = hidden @ net.weights[1] + net.biases[1]
         hits = sum(1 for i in range(20) if int(np.argmax(out[i])) == labels[i])
         assert evaluate(net, ds) == pytest.approx(hits / 20)
+
+    @pytest.mark.parametrize("layers", [mlp(48, (12,), 3), conv_mlp((3, 4, 4), (5,), (6,), 3, stride=1)])
+    def test_accuracy_does_not_depend_on_chunk(self, layers):
+        rng = np.random.default_rng(11)
+        net = init_params(layers, 2)
+        feats = rng.uniform(size=(150, 48))
+        ds = Dataset(feats, rng.integers(0, 3, size=150), 3)
+        whole = float(np.mean(np.argmax(forward(net, feats), axis=1) == ds.labels))
+        assert 0.0 < whole < 1.0
+        for chunk in (1, 7, 64, len(ds)):
+            assert evaluate(net, ds, chunk=chunk) == whole, chunk
+
+    def test_conv_peak_memory_does_not_grow_with_the_test_set(self):
+        net = init_params(conv_mlp((3, 16, 16), (8,), (16,), 4), 3)
+        rng = np.random.default_rng(4)
+        sets = {n: Dataset(rng.uniform(size=(n, 768)), rng.integers(0, 4, size=n), 4) for n in (64, 512)}
+        evaluate(net, sets[64])  # builds the cached patch index outside the measurement
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n, ds in sets.items():
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(net, ds)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[512] <= 1.25 * peaks[64], peaks
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
