@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode
 from .losses import ce_loss, degeneration_curve, ensemble_target, kl_loss, one_hot, soften
-from .network import Conv2d, Dense, Gradients, NetworkParams, conv_mlp, forward, init_params, mlp
+from .network import Conv2d, Dense, NetworkParams, conv_mlp, forward, init_params, mlp
 from .optim import OptimizerState, init_optimizer, step
 from .training import (
     ModeTimeline,
@@ -49,7 +49,6 @@ __all__ = [
     "soften",
     "Conv2d",
     "Dense",
-    "Gradients",
     "NetworkParams",
     "conv_mlp",
     "forward",

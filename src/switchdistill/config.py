@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .training import NetworkDef, OptimizerSettings, TrainConfig
 
 
@@ -174,6 +174,11 @@ class DataSettings:
         if self.kind == "idx":
             train = load_idx(self.options["train_images"], self.options["train_labels"], "train")
             test = load_idx(self.options["test_images"], self.options["test_labels"], "test")
+            if test.num_classes > train.num_classes:
+                raise FormatError(
+                    f"{self.options['test_labels']}: labels span {test.num_classes} classes, "
+                    f"but {self.options['train_labels']} spans only {train.num_classes}"
+                )
             return train, test
         if self.kind == "cifar":
             k = self.options["classes"]

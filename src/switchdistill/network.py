@@ -110,7 +110,10 @@ LayerSpec = Dense | Conv2d
 
 @dataclass
 class NetworkParams:
-    """Weights and biases for a stack of layer descriptors."""
+    """Weights and biases for a stack of layer descriptors.
+
+    Gradients and optimizer accumulators use this same type and layout.
+    """
 
     layers: tuple[LayerSpec, ...]
     weights: list[np.ndarray]
@@ -141,17 +144,9 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.layers, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-
-@dataclass
-class Gradients:
-    """Per-layer gradient arrays mirroring a NetworkParams layout."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, net: NetworkParams) -> "Gradients":
-        return cls([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+    def zeros_like(self) -> "NetworkParams":
+        """Zeroed arrays in this layout: the start of a gradient or optimizer accumulator."""
+        return NetworkParams(self.layers, [np.zeros_like(w) for w in self.weights], [np.zeros_like(b) for b in self.biases])
 
 
 def mlp(in_dim: int, hidden: tuple[int, ...] | list[int], out_dim: int) -> tuple[LayerSpec, ...]:
@@ -296,15 +291,16 @@ def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray:
 
 def backward_from_cache(
     net: NetworkParams, cache: list[tuple[np.ndarray, np.ndarray]], logit_grads: np.ndarray
-) -> Gradients:
-    """Backpropagate per-sample logit gradients; result is batch-averaged."""
+) -> NetworkParams:
+    """Backpropagate per-sample logit gradients; result is batch-averaged, in ``net``'s layout."""
     g = np.asarray(logit_grads, dtype=np.float64)
     batch = cache[0][0].shape[0]
     if g.shape != (batch, net.out_features):
         raise ShapeError(
             f"logit_grads shape {g.shape} does not match output ({batch}, {net.out_features})"
         )
-    grads = Gradients([], [])
+    dws: list[np.ndarray] = []
+    dbs: list[np.ndarray] = []
     d = g
     for i in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[i]
@@ -312,15 +308,15 @@ def backward_from_cache(
         if spec.activation == "relu":
             d = d * (pre > 0)
         if isinstance(spec, Dense):
-            grads.weights.insert(0, inputs.T @ d / batch)
-            grads.biases.insert(0, d.mean(axis=0))
+            dws.insert(0, inputs.T @ d / batch)
+            dbs.insert(0, d.mean(axis=0))
             if i > 0:
                 d = d @ net.weights[i].T
         else:
             dmap = d.reshape(batch, spec.out_channels, -1).transpose(0, 2, 1)  # (B, oh*ow, out_c)
             dw = np.tensordot(dmap, inputs, axes=([0, 1], [0, 1])) / batch
-            grads.weights.insert(0, dw.reshape(spec.weight_shape()))
-            grads.biases.insert(0, dmap.sum(axis=1).mean(axis=0))
+            dws.insert(0, dw.reshape(spec.weight_shape()))
+            dbs.insert(0, dmap.sum(axis=1).mean(axis=0))
             if i > 0:
                 # Computed as (B, C*k*k, oh*ow) so that _col2im reads each offset's slice contiguously.
                 dcols = net.weights[i].reshape(spec.out_channels, -1).T @ d.reshape(batch, spec.out_channels, -1)
@@ -331,5 +327,5 @@ def backward_from_cache(
                     spec.stride,
                 )
                 d = dx.reshape(batch, spec.in_features)
-    return grads
+    return NetworkParams(net.layers, dws, dbs)
 

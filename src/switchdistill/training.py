@@ -257,6 +257,17 @@ def build_network(defn: NetworkDef, in_dim: int, num_classes: int, seed: int, ro
     return init_params(layers, rng)
 
 
+def _load_teacher(path: str, in_dim: int, num_classes: int) -> NetworkParams:
+    """The kd-offline teacher checkpoint, refused unless it maps the data's features to its classes."""
+    net = load_checkpoint(path)
+    if (net.layers[0].in_features, net.out_features) != (in_dim, num_classes):
+        raise ConfigError(
+            f"kd.teacher_checkpoint: {path} maps {net.layers[0].in_features} input features to "
+            f"{net.out_features} classes, but the data has {in_dim} features and {num_classes} classes"
+        )
+    return net
+
+
 def pair_targets(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, np.ndarray]:
     """role -> the distribution its KL term in this pair pulls toward; roles without one are absent."""
     out = {}
@@ -343,7 +354,7 @@ def run_training(
     nets = {
         name: initial.get(name)
         or (
-            load_checkpoint(cfg.teacher_checkpoint)
+            _load_teacher(cfg.teacher_checkpoint, train_ds.dims, k)
             if name == TEACHER and cfg.strategy == "kd-offline"
             else build_network(defs[name], train_ds.dims, k, cfg.seed, role, cfg.image_shape)
         )
@@ -368,9 +379,7 @@ def run_training(
 
     for epoch in range(cfg.epochs):
         for name in names:
-            opts[name] = opts[name].with_lr(
-                scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma)
-            )
+            opts[name] = replace(opts[name], lr=scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
         stepped: set[str] = set()
         for x, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
             if cfg.augment:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericError
 from .gap import LEARNING
 from .losses import ce_loss, kl_loss, one_hot, soften
-from .network import Gradients, NetworkParams
+from .network import NetworkParams
 from .training import (
     STRATEGIES,
     STUDENT,
@@ -144,7 +144,7 @@ def full_grad_check(
 def param_grad_check(
     net: NetworkParams,
     loss_fn: Callable[[NetworkParams], float],
-    grad_fn: Callable[[NetworkParams], Gradients],
+    grad_fn: Callable[[NetworkParams], NetworkParams],
     tolerance: float = 1e-4,
     h: float = 1e-5,
 ) -> GradCheckReport:

@@ -4,11 +4,15 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
+from test_datasets import write_idx_pair
 
 from switchdistill import training
+from switchdistill.checkpoint import save_checkpoint
 from switchdistill.cli import main
 from switchdistill.errors import DomainError
+from switchdistill.network import init_params, mlp
 from switchdistill.runio import read_jsonl
 
 SMALL_CFG = """
@@ -41,6 +45,22 @@ def missing_data_cfg(tmp_path):
     gone = tmp_path / "gone.bin"
     path.write_text(f"data.kind = cifar\ndata.classes = 10\ndata.train_path = {gone}\ndata.test_path = {gone}\n")
     return str(path)
+
+
+def idx_cfg(tmp_path, train_labels, test_labels):
+    """An IDX config over 2x2 images whose train and test splits carry the given labels."""
+    paths = {}
+    for split, labels in (("train", train_labels), ("test", test_labels)):
+        (tmp_path / split).mkdir()
+        images = np.arange(4 * len(labels), dtype=np.uint8).reshape(-1, 2, 2)
+        paths[split] = write_idx_pair(tmp_path / split, images, np.asarray(labels, dtype=np.uint8))
+    path = tmp_path / "idx.cfg"
+    path.write_text(
+        "epochs = 1\nbatch_size = 8\nstudent.hidden = 4\nteacher.hidden = 4\ndata.kind = idx\n"
+        f"data.train_images = {paths['train'][0]}\ndata.train_labels = {paths['train'][1]}\n"
+        f"data.test_images = {paths['test'][0]}\ndata.test_labels = {paths['test'][1]}\n"
+    )
+    return str(path), paths["train"][1], paths["test"][1]
 
 
 def run_dir_files(run_dir):
@@ -154,6 +174,37 @@ class TestTrainCommand:
         assert main(args) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "layers,widths",
+        [(mlp(8, (4,), 3), ["8 input features", "6 features"]), (mlp(6, (4,), 4), ["4 classes", "3 classes"])],
+    )
+    def test_teacher_checkpoint_not_fitting_the_data_exits_1(self, cfg_file, tmp_path, capsys, layers, widths):
+        ckpt = str(tmp_path / "teacher.npz")
+        save_checkpoint(ckpt, init_params(layers, 0))
+        out = tmp_path / "r"
+        args = ["train", "--config", cfg_file, "--out", str(out)]
+        args += ["--set", "strategy=kd-offline", "--set", f"kd.teacher_checkpoint={ckpt}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith("error: kd.teacher_checkpoint:"), err
+        assert ckpt in err and all(w in err for w in widths), err
+        assert not os.path.exists(out)
+
+    def test_idx_test_labels_beyond_train_classes_exit_1(self, tmp_path, capsys):
+        cfg, train_labels, test_labels = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2, 3, 4] * 4)
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and train_labels in err and test_labels in err, err
+        assert not os.path.exists(out)
+
+    def test_idx_test_split_with_fewer_classes_trains(self, tmp_path):
+        cfg, _, _ = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1] * 4)
+        out = str(tmp_path / "r")
+        assert main(["train", "--config", cfg, "--out", out]) == 0
+        dataset = json.load(open(os.path.join(out, "manifest.json")))["dataset"]
+        assert (dataset["train"]["classes"], dataset["test"]["classes"]) == (3, 2)
 
     def test_input_config_never_modified(self, cfg_file, tmp_path):
         before = open(cfg_file).read()

@@ -1,6 +1,8 @@
 """Engine tests: forward/backward correctness against straight-line and
 finite-difference oracles, optimizer updates against scalar hand traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from switchdistill.errors import DomainError, NumericError, ShapeError
 from switchdistill.network import (
     Conv2d,
     Dense,
-    Gradients,
     NetworkParams,
     _col2im,
     _im2col,
@@ -248,18 +249,63 @@ class TestConvEngine:
         assert forward(net, x).tobytes() == logits.tobytes()
 
 
+def oracle_step(net, grads, opt):
+    """SGD and Adam written out per layer and per kind: ``step``'s bit-for-bit oracle."""
+    new_w, new_b = [], []
+    if opt.kind == "sgd":
+        vel = opt.slots["velocity"]
+        nvel = NetworkParams(net.layers, [], [])
+        for params, gs, vs, out, vout in (
+            (net.weights, grads.weights, vel.weights, new_w, nvel.weights),
+            (net.biases, grads.biases, vel.biases, new_b, nvel.biases),
+        ):
+            for p, g, v in zip(params, gs, vs):
+                g_eff = g + opt.weight_decay * p if opt.weight_decay else g
+                v_new = opt.momentum * v + g_eff
+                out.append(p - opt.lr * v_new)
+                vout.append(v_new)
+        new_slots = {"velocity": nvel}
+    else:
+        t = opt.step_count + 1
+        beta1 = opt.momentum
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - opt.beta2**t
+        m, v = opt.slots["m"], opt.slots["v"]
+        nm, nv = NetworkParams(net.layers, [], []), NetworkParams(net.layers, [], [])
+        for params, gs, ms, vs, out, mout, vout in (
+            (net.weights, grads.weights, m.weights, v.weights, new_w, nm.weights, nv.weights),
+            (net.biases, grads.biases, m.biases, v.biases, new_b, nm.biases, nv.biases),
+        ):
+            for p, g, m_i, v_i in zip(params, gs, ms, vs):
+                g_eff = g + opt.weight_decay * p if opt.weight_decay else g
+                m_new = beta1 * m_i + (1.0 - beta1) * g_eff
+                v_new = opt.beta2 * v_i + (1.0 - opt.beta2) * g_eff * g_eff
+                update = (m_new / bc1) / (np.sqrt(v_new / bc2) + opt.eps)
+                out.append(p - opt.lr * update)
+                mout.append(m_new)
+                vout.append(v_new)
+        new_slots = {"m": nm, "v": nv}
+    return NetworkParams(net.layers, new_w, new_b), replace(opt, step_count=opt.step_count + 1, slots=new_slots)
+
+
+def assert_same_bits(a, b):
+    assert len(a.weights) == len(b.weights) and len(a.biases) == len(b.biases)
+    for x, y in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestStep:
     def test_zero_grads_no_decay_is_identity(self):
         net = small_dense_net()
         opt = init_optimizer(net, kind="sgd", lr=0.1, momentum=0.0, weight_decay=0.0)
-        new_net, _ = step(net, Gradients.zeros_like(net), opt)
+        new_net, _ = step(net, net.zeros_like(), opt)
         for a, b in zip(new_net.weights, net.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_plain_gd_arithmetic(self):
         net = NetworkParams((Dense(2, 2),), [np.full((2, 2), 1.0)], [np.zeros(2)])
         opt = init_optimizer(net, kind="sgd", lr=0.1)
-        grads = Gradients([np.full((2, 2), 0.5)], [np.zeros(2)])
+        grads = NetworkParams(net.layers, [np.full((2, 2), 0.5)], [np.zeros(2)])
         new_net, _ = step(net, grads, opt)
         np.testing.assert_allclose(new_net.weights[0], np.full((2, 2), 0.95), rtol=1e-15)
 
@@ -274,7 +320,7 @@ class TestStep:
         net = NetworkParams((Dense(2, 2),), [np.full((2, 2), 1.0)], [np.zeros(2)])
         opt = init_optimizer(net, kind="sgd", lr=lr, momentum=mu)
         for g in (0.5, 0.3):
-            grads = Gradients([np.full((2, 2), g)], [np.zeros(2)])
+            grads = NetworkParams(net.layers, [np.full((2, 2), g)], [np.zeros(2)])
             net, opt = step(net, grads, opt)
         np.testing.assert_allclose(net.weights[0], np.full((2, 2), w), rtol=1e-15)
 
@@ -289,21 +335,21 @@ class TestStep:
         net = NetworkParams((Dense(2, 2),), [np.full((2, 2), 1.0)], [np.zeros(2)])
         opt = init_optimizer(net, kind="adam", lr=lr, momentum=b1)
         for g in (0.5, -0.2):
-            grads = Gradients([np.full((2, 2), g)], [np.zeros(2)])
+            grads = NetworkParams(net.layers, [np.full((2, 2), g)], [np.zeros(2)])
             net, opt = step(net, grads, opt)
         np.testing.assert_allclose(net.weights[0], np.full((2, 2), w), rtol=1e-12)
 
     def test_weight_decay_moves_params_even_with_zero_grads(self):
         net = NetworkParams((Dense(2, 2),), [np.full((2, 2), 1.0)], [np.zeros(2)])
         opt = init_optimizer(net, kind="sgd", lr=0.1, weight_decay=0.01)
-        new_net, _ = step(net, Gradients.zeros_like(net), opt)
+        new_net, _ = step(net, net.zeros_like(), opt)
         np.testing.assert_allclose(new_net.weights[0], np.full((2, 2), 1.0 - 0.1 * 0.01), rtol=1e-15)
 
     def test_step_is_pure(self):
         net = small_dense_net()
         before = [w.copy() for w in net.weights]
         opt = init_optimizer(net, kind="sgd", lr=0.1)
-        grads = Gradients([np.ones_like(w) for w in net.weights], [np.ones_like(b) for b in net.biases])
+        grads = NetworkParams(net.layers, [np.ones_like(w) for w in net.weights], [np.ones_like(b) for b in net.biases])
         step(net, grads, opt)
         for w, old in zip(net.weights, before):
             np.testing.assert_array_equal(w, old)
@@ -312,10 +358,29 @@ class TestStep:
     def test_non_finite_gradient_names_layer(self):
         net = small_dense_net()
         opt = init_optimizer(net, kind="sgd", lr=0.1)
-        grads = Gradients.zeros_like(net)
+        grads = net.zeros_like()
         grads.weights[1][0, 0] = np.nan
         with pytest.raises(NumericError, match="layer 1"):
             step(net, grads, opt)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("layers,in_dim", STACKS)
+    def test_matches_per_layer_oracle_bit_for_bit(self, layers, in_dim, kind, weight_decay):
+        net = init_params(layers, 3)
+        opt = init_optimizer(net, kind=kind, lr=0.05, momentum=0.9, weight_decay=weight_decay)
+        ref_net, ref_opt = net, opt
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            g = rng.normal(size=(4, net.out_features))
+            grads = backward(net, rng.normal(size=(4, in_dim)), g)
+            net, opt = step(net, grads, opt)
+            ref_net, ref_opt = oracle_step(ref_net, grads, ref_opt)
+            assert_same_bits(net, ref_net)
+            assert sorted(opt.slots) == sorted(ref_opt.slots)
+            for name in opt.slots:
+                assert_same_bits(opt.slots[name], ref_opt.slots[name])
+            assert opt.step_count == ref_opt.step_count
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(DomainError):
@@ -334,7 +399,7 @@ class TestGradCheck:
             return float(np.sum((p.weights[0] - 3.0) ** 2) + np.sum(p.biases[0] ** 2))
 
         def grad(p):
-            return Gradients([2.0 * (p.weights[0] - 3.0)], [2.0 * p.biases[0]])
+            return NetworkParams(p.layers, [2.0 * (p.weights[0] - 3.0)], [2.0 * p.biases[0]])
 
         report = param_grad_check(net, loss, grad, tolerance=1e-6)
         assert report.ok
@@ -387,7 +452,7 @@ class TestGradCheck:
     def test_non_finite_loss_raises(self):
         net = small_dense_net()
         with pytest.raises(NumericError):
-            param_grad_check(net, lambda p: float("nan"), lambda p: Gradients.zeros_like(p), 1e-4)
+            param_grad_check(net, lambda p: float("nan"), lambda p: p.zeros_like(), 1e-4)
 
 
 class TestArchitecture:
