@@ -290,17 +290,16 @@ def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray:
 
 
 def backward_from_cache(
-    net: NetworkParams, cache: list[tuple[np.ndarray, np.ndarray]], logit_grads: np.ndarray
+    net: NetworkParams, cache: list[tuple[np.ndarray, np.ndarray]], logit_grads: np.ndarray, out: NetworkParams | None = None
 ) -> NetworkParams:
-    """Backpropagate per-sample logit gradients; result is batch-averaged, in ``net``'s layout."""
+    """Backpropagate per-sample logit gradients, batch-averaged, into ``out`` (default ``net.zeros_like()``)."""
     g = np.asarray(logit_grads, dtype=np.float64)
     batch = cache[0][0].shape[0]
     if g.shape != (batch, net.out_features):
         raise ShapeError(
             f"logit_grads shape {g.shape} does not match output ({batch}, {net.out_features})"
         )
-    dws: list[np.ndarray] = []
-    dbs: list[np.ndarray] = []
+    out = net.zeros_like() if out is None else out
     d = g
     for i in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[i]
@@ -308,15 +307,15 @@ def backward_from_cache(
         if spec.activation == "relu":
             d = d * (pre > 0)
         if isinstance(spec, Dense):
-            dws.insert(0, inputs.T @ d / batch)
-            dbs.insert(0, d.mean(axis=0))
+            np.divide(np.matmul(inputs.T, d, out=out.weights[i]), batch, out=out.weights[i])
+            np.mean(d, axis=0, out=out.biases[i])
             if i > 0:
                 d = d @ net.weights[i].T
         else:
             dmap = d.reshape(batch, spec.out_channels, -1).transpose(0, 2, 1)  # (B, oh*ow, out_c)
-            dw = np.tensordot(dmap, inputs, axes=([0, 1], [0, 1])) / batch
-            dws.insert(0, dw.reshape(spec.weight_shape()))
-            dbs.insert(0, dmap.sum(axis=1).mean(axis=0))
+            dw = np.tensordot(dmap, inputs, axes=([0, 1], [0, 1]))
+            np.divide(dw.reshape(spec.weight_shape()), batch, out=out.weights[i])
+            np.mean(dmap.sum(axis=1), axis=0, out=out.biases[i])
             if i > 0:
                 # Computed as (B, C*k*k, oh*ow) so that _col2im reads each offset's slice contiguously.
                 dcols = net.weights[i].reshape(spec.out_channels, -1).T @ d.reshape(batch, spec.out_channels, -1)
@@ -327,5 +326,5 @@ def backward_from_cache(
                     spec.stride,
                 )
                 d = dx.reshape(batch, spec.in_features)
-    return NetworkParams(net.layers, dws, dbs)
+    return out
 

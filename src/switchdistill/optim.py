@@ -1,12 +1,12 @@
-"""Optimizers: SGD with momentum and Adam, as pure update functions.
+"""Optimizers: SGD with momentum and Adam, updating parameters and accumulators in place.
 
-``step`` never mutates its inputs; it returns fresh parameter and state
-objects so a frozen network is frozen by construction.
+``step`` only reads the gradient and keeps its intermediates in two scratch vectors made by
+``init_optimizer``. A frozen network is frozen because the trainer never calls ``step`` on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,7 @@ class OptimizerState:
 
     ``momentum`` is the velocity coefficient for SGD and beta1 for Adam.
     Weight decay is coupled (added to the gradient before the update).
+    ``scratch`` holds two flat vectors the size of the largest array.
     """
 
     kind: str
@@ -34,6 +35,7 @@ class OptimizerState:
     eps: float = 1e-8
     step_count: int = 0
     slots: dict[str, NetworkParams] | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZERS:
@@ -56,6 +58,8 @@ def init_optimizer(
     """Fresh optimizer state with zeroed accumulators shaped like ``net``."""
     state = OptimizerState(kind=kind, lr=lr, momentum=momentum, weight_decay=weight_decay)
     state.slots = {name: net.zeros_like() for name in (("velocity",) if kind == SGD else ("m", "v"))}
+    size = max(a.size for a in (*net.weights, *net.biases))
+    state.scratch = (np.empty(size), np.empty(size))
     return state
 
 
@@ -65,30 +69,39 @@ def _check_finite(grads: NetworkParams) -> None:
             raise NumericError(f"non-finite gradient in layer {i}")
 
 
-def _update(opt: OptimizerState, bc: tuple[float, float], p: np.ndarray, g: np.ndarray, *slots: np.ndarray):
-    """One array's update: (p, g, *slots) -> (new p, *new slots); ``bc`` is Adam's bias corrections."""
-    g_eff = g + opt.weight_decay * p if opt.weight_decay else g
+def _update(opt: OptimizerState, bc: tuple[float, float], p: np.ndarray, g: np.ndarray, *slots: np.ndarray) -> None:
+    """One array's update, written into ``p`` and ``slots``; ``bc`` is Adam's bias corrections.
+
+    Operand order is that of ``g + wd*p``, ``mu*m + (1-mu)*g``, ``b2*v + ((1-b2)*g)*g`` and
+    ``p - lr*((m/bc0) / (sqrt(v/bc1) + eps))``: bit for bit the plain NumPy expressions.
+    """
+    a, b = (s[: p.size].reshape(p.shape) for s in opt.scratch)
+    g_eff = np.add(g, np.multiply(opt.weight_decay, p, out=a), out=a) if opt.weight_decay else g
     if opt.kind == SGD:
         (v,) = slots
-        v_new = opt.momentum * v + g_eff
-        return p - opt.lr * v_new, v_new
+        np.add(np.multiply(opt.momentum, v, out=v), g_eff, out=v)
+        np.subtract(p, np.multiply(opt.lr, v, out=b), out=p)
+        return
     m, v = slots
-    m_new = opt.momentum * m + (1.0 - opt.momentum) * g_eff
-    v_new = opt.beta2 * v + (1.0 - opt.beta2) * g_eff * g_eff
-    update = (m_new / bc[0]) / (np.sqrt(v_new / bc[1]) + opt.eps)
-    return p - opt.lr * update, m_new, v_new
+    np.add(np.multiply(opt.momentum, m, out=m), np.multiply(1.0 - opt.momentum, g_eff, out=b), out=m)
+    np.multiply(np.multiply(1.0 - opt.beta2, g_eff, out=b), g_eff, out=b)
+    np.add(np.multiply(opt.beta2, v, out=v), b, out=v)
+    np.add(np.sqrt(np.divide(v, bc[1], out=b), out=b), opt.eps, out=b)
+    np.divide(np.divide(m, bc[0], out=a), b, out=a)
+    np.subtract(p, np.multiply(opt.lr, a, out=a), out=p)
 
 
 def step(
     net: NetworkParams, grads: NetworkParams, opt: OptimizerState
 ) -> tuple[NetworkParams, OptimizerState]:
-    """One optimizer update; returns new params and advanced state."""
+    """One optimizer update of ``net`` and ``opt`` in place; returns them, with ``step_count`` advanced."""
     _check_finite(grads)
-    assert opt.slots is not None, "optimizer state missing accumulators; use init_optimizer"
+    if opt.slots is None or opt.scratch is None:
+        raise DomainError("optimizer state has no accumulators or scratch; build it with init_optimizer")
     t = opt.step_count + 1
     bc = (1.0 - opt.momentum**t, 1.0 - opt.beta2**t)
     columns = [(*p.weights, *p.biases) for p in (net, grads, *opt.slots.values())]
-    outs = [_update(opt, bc, *arrays) for arrays in zip(*columns)]
-    n = len(net.layers)
-    new_net, *new_slots = (NetworkParams(net.layers, list(col[:n]), list(col[n:])) for col in zip(*outs))
-    return new_net, replace(opt, step_count=t, slots=dict(zip(opt.slots, new_slots)))
+    for arrays in zip(*columns):
+        _update(opt, bc, *arrays)
+    opt.step_count = t
+    return net, opt

@@ -212,7 +212,7 @@ class ModeTimeline:
 class TrainResult:
     config: TrainConfig
     networks: dict[str, NetworkParams]
-    opts: dict[str, OptimizerState]
+    opts: dict[str, OptimizerState]  # no entry for the kd-offline teacher, which never steps
     timelines: dict[str, ModeTimeline]
     iteration_log: dict[str, list[dict]]
     epoch_log: list[dict]
@@ -339,8 +339,8 @@ def run_training(
 
     ``mode_hook`` (iteration, pair_name, computed_state) -> mode lets tests
     pin or force the switching decision; ``inspect`` (iteration, payload)
-    sees each iteration after the steps; ``initial`` injects pre-built
-    networks in place of the seeded initialization.
+    sees each iteration after the steps; ``initial`` injects copies of
+    pre-built networks in place of the seeded initialization.
     """
     cfg.validate()
     if len(train_ds) == 0:
@@ -350,7 +350,7 @@ def run_training(
     names, pair_names = topo.names, cfg.pair_names()
     table = objectives(cfg.strategy, cfg.alpha, cfg.beta)
     defs = dict(zip(names, (cfg.student, cfg.teacher, cfg.third)))
-    initial = initial or {}
+    initial = {name: net.copy() for name, net in (initial or {}).items()}  # never train the caller's arrays
     nets = {
         name: initial.get(name)
         or (
@@ -360,7 +360,8 @@ def run_training(
         )
         for role, name in enumerate(names)
     }
-    opts = {name: init_optimizer(nets[name], **asdict(defs[name].opt)) for name in names}
+    opts = {n: init_optimizer(nets[n], **asdict(defs[n].opt)) for n in names if n != TEACHER or table[TEACHER]}
+    grad_bufs = {name: nets[name].zeros_like() for name in opts}
 
     timelines = {p: ModeTimeline() for p in pair_names}
     iter_log: dict[str, list[dict]] = {p: [] for p in pair_names}
@@ -378,7 +379,7 @@ def run_training(
     tau = cfg.tau
 
     for epoch in range(cfg.epochs):
-        for name in names:
+        for name in opts:
             opts[name] = replace(opts[name], lr=scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
         stepped: set[str] = set()
         for x, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
@@ -411,7 +412,7 @@ def run_training(
             }
             for name in names:
                 if name in grads_logit:
-                    grads = backward_from_cache(nets[name], caches[name], grads_logit[name])
+                    grads = backward_from_cache(nets[name], caches[name], grads_logit[name], out=grad_bufs[name])
                     nets[name], opts[name] = step(nets[name], grads, opts[name])
                     stepped.add(name)
             del caches  # patch matrices are not needed past backward, nor during evaluation
@@ -433,7 +434,7 @@ def run_training(
                         "modes": dict(zip(pair_names, modes)),
                         "states": dict(zip(pair_names, states)),
                         "teacher": nets[TEACHER],
-                        "teacher_opt": opts[TEACHER],
+                        "teacher_opt": opts.get(TEACHER),
                         "networks": dict(nets),
                         "opts": dict(opts),
                         "logit_grads": grads_logit,

@@ -1,6 +1,7 @@
 """Engine tests: forward/backward correctness against straight-line and
 finite-difference oracles, optimizer updates against scalar hand traces."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -298,8 +299,9 @@ class TestStep:
     def test_zero_grads_no_decay_is_identity(self):
         net = small_dense_net()
         opt = init_optimizer(net, kind="sgd", lr=0.1, momentum=0.0, weight_decay=0.0)
+        before = net.copy()  # step updates net in place
         new_net, _ = step(net, net.zeros_like(), opt)
-        for a, b in zip(new_net.weights, net.weights):
+        for a, b in zip(new_net.weights, before.weights):
             np.testing.assert_array_equal(a, b)
 
     def test_plain_gd_arithmetic(self):
@@ -345,15 +347,54 @@ class TestStep:
         new_net, _ = step(net, net.zeros_like(), opt)
         np.testing.assert_allclose(new_net.weights[0], np.full((2, 2), 1.0 - 0.1 * 0.01), rtol=1e-15)
 
-    def test_step_is_pure(self):
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_step_updates_in_place_and_only_reads_grads(self, kind, weight_decay):
         net = small_dense_net()
-        before = [w.copy() for w in net.weights]
-        opt = init_optimizer(net, kind="sgd", lr=0.1)
+        before = net.copy()
+        arrays = [*net.weights, *net.biases]
+        opt = init_optimizer(net, kind=kind, lr=0.1, momentum=0.9, weight_decay=weight_decay)
+        slot_arrays = {name: [*s.weights, *s.biases] for name, s in opt.slots.items()}
         grads = NetworkParams(net.layers, [np.ones_like(w) for w in net.weights], [np.ones_like(b) for b in net.biases])
-        step(net, grads, opt)
-        for w, old in zip(net.weights, before):
-            np.testing.assert_array_equal(w, old)
-        assert opt.step_count == 0
+        grads_before = grads.copy()
+        new_net, new_opt = step(net, grads, opt)
+        assert new_net is net and new_opt is opt
+        assert all(a is b for a, b in zip(arrays, (*net.weights, *net.biases)))
+        for name, s in opt.slots.items():
+            assert all(a is b for a, b in zip(slot_arrays[name], (*s.weights, *s.biases)))
+        for a, b in zip(arrays, (*before.weights, *before.biases)):
+            assert not np.any(a == b)
+        assert_same_bits(grads, grads_before)
+        assert opt.step_count == 1
+
+    def test_state_not_built_by_init_optimizer_is_refused(self):
+        net = small_dense_net()
+        with pytest.raises(DomainError, match="init_optimizer"):
+            step(net, net.zeros_like(), OptimizerState(kind="sgd", lr=0.1))
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_and_backward_allocate_no_weight_sized_array(self, kind):
+        # the blob teacher: its largest array, the 256x256 weight, is 512 KB
+        net = init_params(mlp(16, (256, 256), 4), 0)
+        largest = max(w.nbytes for w in net.weights)
+        opt = init_optimizer(net, kind=kind, lr=0.01, momentum=0.9, weight_decay=1e-4)
+        rng = np.random.default_rng(0)
+        _, cache = forward_with_cache(net, rng.normal(size=(32, 16)))
+        g = rng.normal(size=(32, 4))
+        buf = net.zeros_like()
+        step(net, backward_from_cache(net, cache, g, out=buf), opt)  # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            assert backward_from_cache(net, cache, g, out=buf) is buf
+            backward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            step(net, buf, opt)
+            step_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backward_peak < largest
+        assert step_peak < largest
 
     def test_non_finite_gradient_names_layer(self):
         net = small_dense_net()
@@ -369,7 +410,7 @@ class TestStep:
     def test_matches_per_layer_oracle_bit_for_bit(self, layers, in_dim, kind, weight_decay):
         net = init_params(layers, 3)
         opt = init_optimizer(net, kind=kind, lr=0.05, momentum=0.9, weight_decay=weight_decay)
-        ref_net, ref_opt = net, opt
+        ref_net, ref_opt = net.copy(), replace(opt, slots={k: s.copy() for k, s in opt.slots.items()})
         rng = np.random.default_rng(8)
         for _ in range(3):
             g = rng.normal(size=(4, net.out_features))

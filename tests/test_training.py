@@ -272,6 +272,19 @@ class TestBaselines:
         )
         assert params_bytes(result.networks["student"]) == params_bytes(result.networks["teacher"])
 
+    def test_initial_networks_are_copied(self):
+        train, test = blob_pair()
+        net = init_params(mlp(train.dims, (8,), train.num_classes), 7)
+        before = params_bytes(net)
+        cfg = pair_cfg("dml", epochs=2, student=NetworkDef(hidden=(8,), opt=ADAM), teacher=NetworkDef(hidden=(8,), opt=ADAM))
+        shared = train_pair(cfg, train, test, initial={"student": net, "teacher": net})
+        assert params_bytes(net) == before  # the caller's arrays are not trained in place
+        copies = train_pair(cfg, train, test, initial={"student": net.copy(), "teacher": net.copy()})
+        for name in ("student", "teacher"):
+            assert params_bytes(shared.networks[name]) == params_bytes(copies.networks[name])
+            assert opt_bytes(shared.opts[name]) == opt_bytes(copies.opts[name])
+        assert shared.iteration_log == copies.iteration_log
+
     def test_kdcl_with_equal_networks_reduces_to_vanilla(self):
         train, test = blob_pair()
         net = init_params(mlp(train.dims, (8,), train.num_classes), 21)
@@ -292,6 +305,18 @@ class TestBaselines:
         assert params_bytes(result.networks["teacher"]) == params_bytes(pre.networks["teacher"])
         for rec in result.iteration_log["teacher_student"]:
             assert rec["mode"] == LEARNING
+
+    def test_kd_offline_teacher_has_no_optimizer(self, tmp_path):
+        train, test = blob_pair()
+        pre = train_pair(pair_cfg("vanilla", epochs=1), train, test)
+        ckpt = tmp_path / "teacher.npz"
+        save_checkpoint(str(ckpt), pre.networks["teacher"])
+        seen = []
+        cfg = pair_cfg("kd-offline", epochs=1, alpha=0.5, teacher_checkpoint=str(ckpt))
+        result = train_pair(cfg, train, test, inspect=lambda i, info: seen.append(info["teacher_opt"]))
+        assert set(result.opts) == {"student"}
+        assert seen and all(opt is None for opt in seen)
+        assert params_bytes(result.networks["teacher"]) == params_bytes(pre.networks["teacher"])
 
     def test_kd_offline_requires_checkpoint(self):
         with pytest.raises(ConfigError, match="teacher_checkpoint"):
