@@ -1,13 +1,17 @@
 """Flat key=value run configuration with dotted keys and CLI overrides.
 
 The format is a plain text file: one ``key = value`` per line, ``#`` starts a
-comment line, and list values are comma-separated. Every key is typed
-against a fixed schema, so typos fail fast with a field-level message.
+comment line, and list values are comma-separated. ``KEYS`` is the one table
+of keys: each row holds the key's parser, which also checks its range, and
+its CLI default. Every config error is raised by ``build_setup``, before any
+data is loaded or any network trained, with a message that names the key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .errors import ConfigError, FormatError
@@ -30,76 +34,74 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
-_SCHEMA: dict[str, type | object] = {
-    "strategy": str,
-    "topology": str,
-    "seed": int,
-    "alpha": float,
-    "beta": float,
-    "tau": float,
-    "epochs": int,
-    "batch_size": int,
-    "lr.milestones": _parse_int_list,
-    "lr.gamma": float,
-    "data.kind": str,
-    "data.classes": int,
-    "data.dims": int,
-    "data.per_class": int,
-    "data.spread": float,
-    "data.seed": int,
-    "data.train_images": str,
-    "data.train_labels": str,
-    "data.test_images": str,
-    "data.test_labels": str,
-    "data.train_path": str,
-    "data.test_path": str,
-    "data.augment": _parse_bool,
-    "data.channels": int,
-    "data.height": int,
-    "data.width": int,
-    "kd.teacher_checkpoint": str,
-}
-for _net in ("student", "teacher", "third"):
-    _SCHEMA[f"{_net}.hidden"] = _parse_int_list
-    _SCHEMA[f"{_net}.conv"] = _parse_int_list
-    _SCHEMA[f"{_net}.lr"] = float
-    _SCHEMA[f"{_net}.optimizer"] = str
-    _SCHEMA[f"{_net}.momentum"] = float
-    _SCHEMA[f"{_net}.weight_decay"] = float
+def _at_least(parse: Callable, low: int) -> Callable:
+    """``parse``, then require the value, or every entry of a list, to be finite and >= ``low``.
 
-_DEFAULTS: dict[str, str] = {
-    "strategy": "switch",
-    "topology": "pair",
-    "seed": "0",
-    "alpha": "1.0",
-    "beta": "1.0",
-    "tau": "1.0",
-    "epochs": "10",
-    "batch_size": "32",
-    "lr.milestones": "",
-    "lr.gamma": "0.1",
-    "data.kind": "blobs",
-    "data.classes": "4",
-    "data.dims": "16",
-    "data.per_class": "100",
-    "data.spread": "0.5",
-    "data.augment": "false",
-    "student.hidden": "16",
-    "student.optimizer": "adam",
-    "student.lr": "0.005",
-    "student.momentum": "0.9",
-    "student.weight_decay": "0.0001",
-    "teacher.hidden": "256,256",
-    "teacher.optimizer": "adam",
-    "teacher.lr": "0.02",
-    "teacher.momentum": "0.9",
-    "teacher.weight_decay": "0.0001",
-    "third.hidden": "16",
-    "third.optimizer": "adam",
-    "third.lr": "0.005",
-    "third.momentum": "0.9",
-    "third.weight_decay": "0.0001",
+    A value out of range raises a ConfigError without the key, which ``build_setup`` prefixes.
+    """
+
+    def parse_in_range(raw: str):
+        value = parse(raw)
+        listed = isinstance(value, tuple)
+        if not all(math.isfinite(v) and v >= low for v in (value if listed else (value,))):
+            rule = f"finite and >= {low}" if isinstance(value, float) else f">= {low}"
+            raise ConfigError(f"must be {rule}{' in every entry' if listed else ''}, got {raw}")
+        return value
+
+    return parse_in_range
+
+
+_COUNT = _at_least(int, 1)
+_WIDTHS = _at_least(_parse_int_list, 1)
+
+# key -> (parser, CLI default); a None default leaves the key unset. Rows with a
+# default are in the order of the resolved snapshot.
+KEYS: dict[str, tuple[Callable, str | None]] = {
+    "strategy": (str, "switch"),
+    "topology": (str, "pair"),
+    "seed": (int, "0"),
+    "alpha": (float, "1.0"),
+    "beta": (float, "1.0"),
+    "tau": (float, "1.0"),
+    "epochs": (int, "10"),
+    "batch_size": (int, "32"),
+    "lr.milestones": (_at_least(_parse_int_list, 0), ""),
+    "lr.gamma": (float, "0.1"),
+    "data.kind": (str, "blobs"),
+    "data.classes": (_at_least(int, 2), "4"),
+    "data.dims": (_COUNT, "16"),
+    "data.per_class": (_COUNT, "100"),
+    "data.spread": (_at_least(float, 0), "0.5"),
+    "data.seed": (_at_least(int, 0), None),  # unset: the run's seed
+    "data.train_images": (str, None),
+    "data.train_labels": (str, None),
+    "data.test_images": (str, None),
+    "data.test_labels": (str, None),
+    "data.train_path": (str, None),
+    "data.test_path": (str, None),
+    "data.augment": (_parse_bool, "false"),
+    "data.channels": (_COUNT, None),
+    "data.height": (_COUNT, None),
+    "data.width": (_COUNT, None),
+    "kd.teacher_checkpoint": (str, None),
 }
+for _net, _hidden, _lr in (("student", "16", "0.005"), ("teacher", "256,256", "0.02"), ("third", "16", "0.005")):
+    KEYS.update({
+        f"{_net}.hidden": (_WIDTHS, _hidden),
+        f"{_net}.conv": (_WIDTHS, None),
+        f"{_net}.optimizer": (str, "adam"),
+        f"{_net}.lr": (float, _lr),
+        f"{_net}.momentum": (float, "0.9"),
+        f"{_net}.weight_decay": (float, "0.0001"),
+    })
+
+# data.kind -> the data.* keys it reads, all required; they become DataSettings.options
+DATA_KEYS = {
+    "blobs": ("classes", "per_class", "dims", "spread", "seed"),
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+    "cifar": ("classes", "train_path", "test_path"),
+}
+IMAGE_KEYS = ("data.channels", "data.height", "data.width")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -113,7 +115,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -136,28 +138,15 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"override: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
-def _typed(values: dict[str, str]) -> dict[str, object]:
-    merged = dict(_DEFAULTS)
-    merged.update(values)
-    typed: dict[str, object] = {}
-    for key, raw in merged.items():
-        parser = _SCHEMA[key]
-        try:
-            typed[key] = parser(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
-    return typed
-
-
 @dataclass
 class DataSettings:
-    """Where the train/test datasets come from."""
+    """Where the train/test datasets come from; ``kind`` is a key of DATA_KEYS."""
 
     kind: str
     options: dict = field(default_factory=dict)
@@ -180,15 +169,13 @@ class DataSettings:
                     f"but {self.options['train_labels']} spans only {train.num_classes}"
                 )
             return train, test
-        if self.kind == "cifar":
-            k = self.options["classes"]
-            train = load_cifar_binary(self.options["train_path"], k, "train")
-            test = load_cifar_binary(self.options["test_path"], k, "test")
-            return train, test
-        raise ConfigError(f"data.kind: unknown value {self.kind!r}")
+        k = self.options["classes"]
+        train = load_cifar_binary(self.options["train_path"], k, "train")
+        test = load_cifar_binary(self.options["test_path"], k, "test")
+        return train, test
 
     def describe(self) -> dict:
-        return {"kind": self.kind, **{k: v for k, v in self.options.items()}}
+        return {"kind": self.kind, **self.options}
 
 
 @dataclass
@@ -212,42 +199,43 @@ def _network_def(typed: dict, prefix: str) -> NetworkDef:
 
 
 def build_setup(values: dict[str, str]) -> RunSetup:
-    """Typed TrainConfig + DataSettings from raw config values."""
-    typed = _typed(values)
-    kind = typed["data.kind"]
-    if kind == "blobs":
-        options = {
-            "classes": typed["data.classes"],
-            "per_class": typed["data.per_class"],
-            "dims": typed["data.dims"],
-            "spread": typed["data.spread"],
-            "seed": typed.get("data.seed", typed["seed"]),
-        }
-    elif kind == "idx":
-        for k in ("data.train_images", "data.train_labels", "data.test_images", "data.test_labels"):
-            if k not in typed:
-                raise ConfigError(f"{k}: required for data.kind=idx")
-        options = {
-            "train_images": typed["data.train_images"],
-            "train_labels": typed["data.train_labels"],
-            "test_images": typed["data.test_images"],
-            "test_labels": typed["data.test_labels"],
-        }
-    elif kind == "cifar":
-        for k in ("data.train_path", "data.test_path"):
-            if k not in typed:
-                raise ConfigError(f"{k}: required for data.kind=cifar")
-        options = {
-            "classes": typed["data.classes"],
-            "train_path": typed["data.train_path"],
-            "test_path": typed["data.test_path"],
-        }
-    else:
-        raise ConfigError(f"data.kind: unknown value {kind!r}")
+    """Typed TrainConfig + DataSettings from raw config values, with every config check.
 
-    image_shape = None
-    if all(f"data.{n}" in typed for n in ("channels", "height", "width")):
-        image_shape = (typed["data.channels"], typed["data.height"], typed["data.width"])
+    ``resolved``, the snapshot a run records, is ``values`` over the CLI
+    defaults, with ``data.seed`` set to ``seed`` when it is not given.
+    """
+    resolved = {key: default for key, (_, default) in KEYS.items() if default is not None}
+    resolved.update(values)
+    seed_inherited = "data.seed" not in resolved
+    resolved.setdefault("data.seed", resolved["seed"])
+    typed: dict[str, object] = {}
+    for key, raw in resolved.items():
+        try:
+            typed[key] = KEYS[key][0](raw)
+        except ConfigError as exc:
+            if key == "data.seed" and seed_inherited:  # name the key the user set
+                raise ConfigError(f"seed: must be >= 0 when data.seed is not set, got {raw}") from None
+            raise ConfigError(f"{key}: {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
+
+    kind = typed["data.kind"]
+    if kind not in DATA_KEYS:
+        raise ConfigError(f"data.kind: unknown value {kind!r}, expected one of {tuple(DATA_KEYS)}")
+    for name in DATA_KEYS[kind]:
+        if f"data.{name}" not in typed:
+            raise ConfigError(f"data.{name}: required for data.kind={kind}")
+    options = {name: typed[f"data.{name}"] for name in DATA_KEYS[kind]}
+    if kind == "blobs" and options["dims"] < options["classes"]:
+        raise ConfigError(
+            f"data.dims: must be >= data.classes ({options['classes']}) for data.kind=blobs, got {options['dims']}"
+        )
+    if kind == "cifar" and options["classes"] not in (10, 100):
+        raise ConfigError(f"data.classes: must be 10 or 100 for data.kind=cifar, got {options['classes']}")
+    given = [key for key in IMAGE_KEYS if key in typed]
+    if given and len(given) < len(IMAGE_KEYS):
+        missing = " and ".join(key for key in IMAGE_KEYS if key not in typed)
+        raise ConfigError(f"{given[0]}: requires {missing} as well; the image shape takes all three keys or none")
 
     topology = typed["topology"]
     third = _network_def(typed, "third") if topology in ("1t2s", "2t1s") else None
@@ -266,14 +254,8 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         lr_milestones=typed["lr.milestones"],
         lr_gamma=typed["lr.gamma"],
         teacher_checkpoint=typed.get("kd.teacher_checkpoint"),
-        image_shape=image_shape,
+        image_shape=tuple(typed[key] for key in IMAGE_KEYS) if given else None,
         augment=typed["data.augment"],
     )
     train.validate()
-    data = DataSettings(kind=kind, options=options)
-
-    resolved = dict(_DEFAULTS)
-    resolved.update(values)
-    if "data.seed" not in resolved:
-        resolved["data.seed"] = resolved["seed"]
-    return RunSetup(train=train, data=data, resolved=resolved)
+    return RunSetup(train=train, data=DataSettings(kind=kind, options=options), resolved=resolved)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .datasets import Dataset, augment_flip_crop, batches
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .gap import EXPERT, LEARNING, GapState, batch_gap_state
 from .losses import (  # the closed-form gradients stay importable here: perfbench/tracer.py wraps them
     ce_loss,
@@ -132,7 +132,7 @@ class TrainConfig:
         for key, value in numbers.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
-            if key.endswith((".lr", ".weight_decay")) and value < 0:
+            if key.split(".")[-1] in ("alpha", "beta", "lr", "weight_decay") and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
         for name, opt in opts.items():
             if opt.kind not in OPTIMIZERS:
@@ -148,19 +148,27 @@ class TrainConfig:
         if self.topology != "pair" and self.third is None:
             raise ConfigError("topology: triples need a third network definition")
         if self.strategy == "kd-offline" and not self.teacher_checkpoint:
-            raise ConfigError("teacher_checkpoint: required for strategy=kd-offline")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha/beta: must be non-negative")
+            raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
         if self.tau <= 0:
             raise ConfigError("tau: must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs: must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size: must be >= 1")
+        shape_keys = "image_shape (data.channels, data.height, data.width)"
         if self.augment and self.image_shape is None:
-            raise ConfigError("augment: requires image_shape")
+            raise ConfigError(f"data.augment: requires {shape_keys}")
+        for name, defn in nets.items():
+            if defn is not None and defn.conv_channels:
+                if self.image_shape is None:
+                    raise ConfigError(f"{name}.conv: conv layers require {shape_keys}")
+                try:
+                    conv_mlp(self.image_shape, defn.conv_channels, (), 2)  # builds only the layer specs
+                except ShapeError as exc:
+                    shape = "x".join(map(str, self.image_shape))
+                    raise ConfigError(f"{name}.conv: {exc} on image shape {shape}") from None
         if self.lr_gamma <= 0:
-            raise ConfigError("lr_gamma: must be positive")
+            raise ConfigError("lr.gamma: must be positive")
 
     def network_names(self) -> tuple[str, ...]:
         return TOPOLOGY_TABLE[self.topology].names
@@ -248,8 +256,6 @@ def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 64) -> float:
 def build_network(defn: NetworkDef, in_dim: int, num_classes: int, seed: int, role: int, image_shape=None) -> NetworkParams:
     """Instantiate one network; the init stream is keyed by (seed, role)."""
     if defn.conv_channels:
-        if image_shape is None:
-            raise ConfigError("conv_channels: conv layers require image-shaped data")
         layers = conv_mlp(image_shape, defn.conv_channels, defn.hidden, num_classes)
     else:
         layers = mlp(in_dim, defn.hidden, num_classes)
@@ -345,6 +351,12 @@ def run_training(
     cfg.validate()
     if len(train_ds) == 0:
         raise DomainError("training data is empty")
+    if cfg.image_shape is not None and math.prod(cfg.image_shape) != train_ds.dims:
+        c, h, w = cfg.image_shape
+        raise ConfigError(
+            f"data.channels, data.height, data.width: image shape {c}x{h}x{w} holds {c * h * w} features, "
+            f"but the data has {train_ds.dims}"
+        )
     k = train_ds.num_classes
     topo = TOPOLOGY_TABLE[cfg.topology]
     names, pair_names = topo.names, cfg.pair_names()

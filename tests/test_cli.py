@@ -12,6 +12,7 @@ from test_datasets import write_idx_pair
 from switchdistill import cli, training
 from switchdistill.checkpoint import save_checkpoint
 from switchdistill.cli import main
+from switchdistill.config import KEYS
 from switchdistill.errors import DomainError
 from switchdistill.network import init_params, mlp
 from switchdistill.runio import read_jsonl
@@ -31,6 +32,58 @@ teacher.hidden = 16,16
 student.lr = 0.01
 teacher.lr = 0.02
 """
+
+
+# One bad value per config key, each refused at exit 1 by a message naming the key.
+# Path keys are left out: their bad inputs are FormatErrors that name the path.
+PATH_KEYS = {
+    "data.train_images", "data.train_labels", "data.test_images", "data.test_labels",
+    "data.train_path", "data.test_path", "kd.teacher_checkpoint",
+}
+BAD_VALUES = {
+    "strategy": "warp",
+    "topology": "ring",
+    "seed": "-1",  # SMALL_CFG sets no data.seed, so the data takes this seed
+    "alpha": "-1",
+    "beta": "-0.5",
+    "tau": "0",
+    "epochs": "0",
+    "batch_size": "0",
+    "lr.milestones": "3,-1",
+    "lr.gamma": "0",
+    "data.kind": "parquet",
+    "data.classes": "1",
+    "data.dims": "0",
+    "data.per_class": "0",
+    "data.spread": "nan",
+    "data.seed": "-1",
+    "data.augment": "true",  # without an image shape
+    "data.channels": "0",
+    "data.height": "4",  # without data.channels and data.width
+    "data.width": "-2",
+    **{
+        f"{net}.{key}": value
+        for net in ("student", "teacher", "third")
+        for key, value in (("hidden", "8,0"), ("conv", "0"), ("optimizer", "nadam"),
+                           ("lr", "-1"), ("momentum", "1.0"), ("weight_decay", "-1"))
+    },
+}
+
+
+def train_args(cfg, out, overrides):
+    args = ["train", "--config", cfg, "--out", str(out)]
+    for item in overrides:
+        args += ["--set", item]
+    return args
+
+
+def assert_config_error(code, capsys, out, key):
+    """Exit 1 with one line `error: <key>: ...`, and no run directory."""
+    err = capsys.readouterr().err.strip()
+    assert code == 1, err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {key}: "), err
+    assert not os.path.exists(out)
+    return err
 
 
 @pytest.fixture
@@ -142,6 +195,47 @@ class TestTrainCommand:
         key = overrides[-1].split("=")[0]
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {key}:"), err
         assert not os.path.exists(tmp_path / "r")
+
+    def test_every_key_has_a_bad_value(self):
+        assert set(BAD_VALUES) == set(KEYS) - PATH_KEYS
+
+    @pytest.mark.parametrize("key", sorted(BAD_VALUES))
+    def test_bad_value_of_each_key_exits_1_naming_it(self, cfg_file, tmp_path, capsys, key):
+        overrides = ["topology=1t2s"] if key.startswith("third.") else []  # a pair has no third network
+        out = tmp_path / "r"
+        code = main(train_args(cfg_file, out, overrides + [f"{key}={BAD_VALUES[key]}"]))
+        assert_config_error(code, capsys, out, key)
+
+    @pytest.mark.parametrize(
+        "overrides,key,words",
+        [
+            (["data.spread=-1"], "data.spread", ["-1"]),
+            (["data.dims=2"], "data.dims", ["data.classes (3)", "got 2"]),
+            (["data.width=4"], "data.width", ["data.channels and data.height"]),
+            (["student.conv=4"], "student.conv", ["data.channels, data.height, data.width"]),
+            (["data.channels=1", "data.height=2", "data.width=3", "student.conv=4"], "student.conv", ["1x2x3"]),
+            (["seed=-1"], "seed", ["data.seed is not set"]),
+            # an image shape that does not fit the 6 blob features
+            (["data.channels=3", "data.height=32", "data.width=32", "data.augment=true"],
+             "data.channels, data.height, data.width", ["3072", "has 6"]),
+            (["data.channels=3", "data.height=32", "data.width=32", "student.conv=4"],
+             "data.channels, data.height, data.width", ["3072", "has 6"]),
+        ],
+    )
+    def test_config_error_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys, overrides, key, words):
+        out = tmp_path / "r"
+        err = assert_config_error(main(train_args(cfg_file, out, overrides)), capsys, out, key)
+        assert all(w in err for w in words), err
+
+    def test_cifar_classes_other_than_10_or_100_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(train_args(missing_data_cfg(tmp_path), out, ["data.classes=11"]))
+        assert_config_error(code, capsys, out, "data.classes")
+
+    def test_negative_run_seed_trains_when_data_seed_is_set(self, cfg_file, tmp_path):
+        out = tmp_path / "r"
+        assert main(train_args(cfg_file, out, ["seed=-1", "data.seed=2"])) == 0
+        assert json.load(open(out / "manifest.json"))["config"]["seed"] == "-1"
 
     def test_unknown_optimizer_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "r"
@@ -268,6 +362,15 @@ class TestCompareCommand:
         out = str(tmp_path / "cmp")
         assert main(["compare", "--configs", str(a), str(b), "--out", out]) == 1
         assert main(["compare", "--configs", str(a), str(b), "--out", out, "--allow-mismatch"]) == 0
+
+    def test_bad_later_config_fails_before_any_run(self, tmp_path, capsys):
+        a = tmp_path / "a.cfg"
+        b = tmp_path / "b.cfg"
+        a.write_text(SMALL_CFG)
+        b.write_text(SMALL_CFG + "data.classes = 1\n")
+        out = tmp_path / "cmp"
+        code = main(["compare", "--configs", str(a), str(b), "--out", str(out), "--allow-mismatch"])
+        assert_config_error(code, capsys, out, "data.classes")
 
 
 class TestGradCheckCommand:

@@ -1,9 +1,14 @@
 """Config parsing: flat key=value files, typed schema, overrides, validation."""
 
+import os
+import re
+
 import pytest
 
-from switchdistill.config import apply_overrides, build_setup, load_config, parse_config_text
+from switchdistill.config import KEYS, apply_overrides, build_setup, load_config, parse_config_text
 from switchdistill.errors import ConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 MINIMAL = """
 # reference blob run
@@ -105,3 +110,23 @@ class TestBuildSetup:
         setup = build_setup(parse_config_text(MINIMAL))
         assert setup.resolved["alpha"] == "1.0"
         assert setup.resolved["data.seed"] == "3"
+
+
+class TestKeyTable:
+    def test_every_key_is_a_readme_row_with_its_default(self):
+        with open(README, encoding="utf-8") as f:
+            section = f.read().split("### Config format", 1)[1].split("\n### ", 1)[0]
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| (.*?) \|", section, flags=re.MULTILINE))
+        assert set(rows) == set(KEYS)
+        for key, (_, default) in KEYS.items():
+            if default:
+                assert rows[key] == f"`{default}`", key
+
+    def test_data_options_come_from_the_kind(self):
+        paths = {"train_images": "a", "train_labels": "b", "test_images": "c", "test_labels": "d"}
+        setup = build_setup({"data.kind": "idx", **{f"data.{k}": v for k, v in paths.items()}})
+        assert setup.data.describe() == {"kind": "idx", **paths}  # no blob keys, though they have defaults
+        with pytest.raises(ConfigError, match=r"^data\.test_path: required for data\.kind=cifar$"):
+            build_setup({"data.kind": "cifar", "data.classes": "10", "data.train_path": "a"})
+        with pytest.raises(ConfigError, match=r"^data\.kind: unknown value 'parquet'"):
+            build_setup({"data.kind": "parquet"})

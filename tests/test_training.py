@@ -1,6 +1,7 @@
 """Training-loop tests: mode switching, frozen-teacher guarantees, baseline
 strategy behavior, bit-level strategy equivalence, triples, and evaluation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -551,6 +552,27 @@ class TestConfigAndSchedule:
     def test_augment_requires_image_shape(self):
         with pytest.raises(ConfigError, match="image_shape"):
             pair_cfg(augment=True).validate()
+
+    @pytest.mark.parametrize(
+        "fields,key",
+        [
+            ({"alpha": -0.1}, "alpha"),
+            ({"beta": -0.1}, "beta"),
+            ({"lr_gamma": 0.0}, "lr.gamma"),
+            ({"strategy": "kd-offline"}, "kd.teacher_checkpoint"),
+            ({"augment": True}, "data.augment"),
+            ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2,))}, "teacher.conv"),
+            ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2, 2)), "image_shape": (1, 4, 4)}, "teacher.conv"),
+        ],
+    )
+    def test_validate_names_the_config_key(self, fields, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            pair_cfg(**fields).validate()
+
+    def test_image_shape_must_hold_the_data_features(self):
+        train, test = blob_pair(dims=6)
+        with pytest.raises(ConfigError, match=r"^data\.channels, data\.height, data\.width: .* 12 features, .* has 6$"):
+            run_training(pair_cfg(image_shape=(3, 2, 2)), train, test)
 
     def test_pair_state_view(self):
         train, test = blob_pair()
