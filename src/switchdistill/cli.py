@@ -74,13 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(line: str) -> None:
+    """Print one line to stdout. A reader that has gone away is not a failure: further output is dropped."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so that the interpreter's final flush cannot raise again
+        os.close(devnull)
+
+
 def cmd_train(args) -> int:
     values = apply_overrides(load_config(args.config), args.overrides)
     setup = build_setup(values)
     _, manifest = execute_run(setup, args.out)
-    print(f"run complete: {args.out}")
+    _say(f"run complete: {args.out}")
     for name in manifest["artifacts"]:
-        print(f"  {name}")
+        _say(f"  {name}")
     return EXIT_OK
 
 
@@ -99,7 +109,7 @@ def cmd_compare(args) -> int:
         rows.extend(comparison_rows(label, result))
     out_csv = os.path.join(args.out, "comparison.csv")
     write_csv(out_csv, COMPARISON_FIELDS, rows)
-    print(f"wrote {out_csv} ({len(rows)} rows)")
+    _say(f"wrote {out_csv} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -115,11 +125,11 @@ def cmd_grad_check(args) -> int:
         fault_scale=2.0 if args.inject_fault else 1.0,
     )
     for line in report.lines():
-        print(line)
+        _say(line)
     if not report.ok:
-        print(f"FAILED: max relative error {report.max_rel_error:.3e} > {report.tolerance:g}")
+        _say(f"FAILED: max relative error {report.max_rel_error:.3e} > {report.tolerance:g}")
         return EXIT_RUNTIME
-    print(f"all gradients within {report.tolerance:g} (max {report.max_rel_error:.3e})")
+    _say(f"all gradients within {report.tolerance:g} (max {report.max_rel_error:.3e})")
     return EXIT_OK
 
 
@@ -138,15 +148,15 @@ def cmd_timeline(args) -> int:
         for rec in records
     ]
     write_csv(args.out, ["iteration", "mode", "G", "delta", "epsilon"], rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    _say(f"wrote {args.out} ({len(rows)} rows)")
     for key, value in summary.items():
-        print(f"  {key}: {value}")
+        _say(f"  {key}: {value}")
     return EXIT_OK
 
 
 def _keep_freed_heap() -> None:
     """Keep freed memory in glibc's heap, and serve blocks under 32 MB from it: each iteration re-allocates
-    the same few MB, which otherwise page-fault in afresh (conv-cifar: ~250k minor faults per run, 7k with this)."""
+    the same few MB, which otherwise page-fault in afresh (conv-cifar: 170k-310k minor faults per run, 7k with this)."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
     if mallopt and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"} & set(os.environ):
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD

@@ -29,7 +29,7 @@ MODES = (LEARNING, EXPERT)
 
 @dataclass(frozen=True)
 class GapState:
-    """Per-iteration record of the gap, threshold terms, and chosen mode."""
+    """Per-iteration record of the gap, threshold terms, chosen mode and the l1 errors' batch means."""
 
     iteration: int
     G: float
@@ -37,6 +37,8 @@ class GapState:
     epsilon: float
     delta: float
     mode: str
+    student_err: float = 0.0
+    teacher_err: float = 0.0
 
     def __post_init__(self) -> None:
         if self.iteration < 0:
@@ -109,4 +111,6 @@ def batch_gap_state(p_s_tau, p_t_tau, y, iteration: int) -> GapState:
         epsilon=float(np.mean(eps)),
         delta=delta_mean,
         mode=decide_mode(g_mean, delta_mean),
+        student_err=float(np.mean(student_err)),
+        teacher_err=float(np.mean(teacher_err)),
     )

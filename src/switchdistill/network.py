@@ -215,22 +215,13 @@ def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int) -> np.ndarray:
-    """Scatter-add the inverse of _im2col, one strided slice per kernel offset.
-
-    Offsets run in descending order, so every input pixel sums its
-    contributions in ascending output-position order.
-    """
+    """The adjoint of _im2col: a scatter-add through its index, each pixel summed in ascending output position."""
     b, c, h, w = shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    patches = dcols.reshape(b, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    dx = np.zeros(shape, dtype=dcols.dtype)
-    for ki in range(kernel - 1, -1, -1):
-        for kj in range(kernel - 1, -1, -1):
-            dx[:, :, ki : ki + stride * (oh - 1) + 1 : stride, kj : kj + stride * (ow - 1) + 1 : stride] += (
-                patches[:, :, ki, kj]
-            )
-    return dx
+    idx = _patch_index(c, h, w, kernel, stride).ravel()
+    dx = np.empty((b, c * h * w))
+    for s in range(b):
+        dx[s] = np.bincount(idx, weights=dcols[s].ravel(), minlength=c * h * w)
+    return dx.reshape(shape)
 
 
 def _layer_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
@@ -312,19 +303,13 @@ def backward_from_cache(
             if i > 0:
                 d = d @ net.weights[i].T
         else:
-            dmap = d.reshape(batch, spec.out_channels, -1).transpose(0, 2, 1)  # (B, oh*ow, out_c)
-            dw = np.tensordot(dmap, inputs, axes=([0, 1], [0, 1]))
+            dmap = d.reshape(batch, spec.out_channels, -1)
+            dw = np.tensordot(dmap, inputs, axes=([0, 2], [0, 1]))
             np.divide(dw.reshape(spec.weight_shape()), batch, out=out.weights[i])
-            np.mean(dmap.sum(axis=1), axis=0, out=out.biases[i])
+            np.mean(dmap.sum(axis=2), axis=0, out=out.biases[i])
             if i > 0:
-                # Computed as (B, C*k*k, oh*ow) so that _col2im reads each offset's slice contiguously.
-                dcols = net.weights[i].reshape(spec.out_channels, -1).T @ d.reshape(batch, spec.out_channels, -1)
-                dx = _col2im(
-                    dcols.transpose(0, 2, 1),
-                    (batch, spec.in_channels, spec.height, spec.width),
-                    spec.kernel,
-                    spec.stride,
-                )
-                d = dx.reshape(batch, spec.in_features)
+                dcols = net.weights[i].reshape(spec.out_channels, -1).T @ dmap
+                shape = (batch, spec.in_channels, spec.height, spec.width)
+                d = _col2im(dcols.transpose(0, 2, 1), shape, spec.kernel, spec.stride).reshape(batch, spec.in_features)
     return out
 

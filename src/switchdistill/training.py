@@ -429,13 +429,13 @@ def run_training(
                     stepped.add(name)
             del caches  # patch matrices are not needed past backward, nor during evaluation
 
-            for p, (t, s), state, mode, comp in zip(pair_names, topo.pairs, states, modes, components):
-                logged = replace(state, mode=mode)
+            for p, state, mode, comp in zip(pair_names, states, modes, components):
+                logged = state if mode == state.mode else replace(state, mode=mode)
                 timelines[p].append(logged)
                 rec = logged.to_record()
                 rec.update({key: comp[r, q] for key, r, q in log_keys})
-                rec["student_err_l1"] = float(np.mean(np.abs(ptau[s] - y1h).sum(axis=-1)))
-                rec["teacher_err_l1"] = float(np.mean(np.abs(ptau[t] - y1h).sum(axis=-1)))
+                rec["student_err_l1"] = state.student_err
+                rec["teacher_err_l1"] = state.teacher_err
                 iter_log[p].append(rec)
 
             if inspect is not None:

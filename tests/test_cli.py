@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -387,6 +388,31 @@ class TestGradCheckCommand:
 
     def test_unknown_strategy_is_runtime_error(self):
         assert main(["grad-check", "--strategy", "atkd"]) == 2
+
+
+def run_into_closed_pipe(args):
+    """Run the CLI in a child process whose stdout is a pipe with its read end already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "switchdistill.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_keeps_each_commands_exit_code(cfg_file, tmp_path):
+    out = tmp_path / "run"
+    train = run_into_closed_pipe(["train", "--config", cfg_file, "--out", str(out)])
+    assert (train.returncode, train.stderr) == (0, "")
+    manifest = json.load(open(out / "manifest.json"))
+    assert run_dir_files(out) == manifest["artifacts"]
+    check = run_into_closed_pipe(["grad-check", "--inject-fault", "--trials", "10"])
+    assert (check.returncode, check.stderr) == (2, "")
 
 
 class TestTimelineCommand:

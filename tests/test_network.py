@@ -196,6 +196,7 @@ CONV_GEOMETRIES = [
     (2, 2, 11, 8, 2, 3),
     (2, 2, 6, 6, 6, 1),  # kernel covers the whole input
     (3, 3, 5, 8, 5, 2),  # kernel equals the shorter side
+    (32, 16, 15, 15, 3, 2),  # the conv-cifar teacher's second conv layer at batch 32
 ]
 
 
@@ -221,6 +222,9 @@ class TestConvEngine:
         b, c, h, w, k, s = geometry
         positions = ((h - k) // s + 1) * ((w - k) // s + 1)
         dcols = np.random.default_rng(1).normal(size=(b, positions, c * k * k))
+        dcols[0] = -0.0  # ReLU backward yields -0.0; each pixel's sum starts from +0.0
+        dcols[-1, ::2] = -0.0
+        dcols[-1, 1::2, ::2] = 0.0
         out = _col2im(dcols, (b, c, h, w), k, s)
         assert out.tobytes() == loop_col2im(dcols, (b, c, h, w), k, s).tobytes()
 
