@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration or input validation failure,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 
@@ -154,17 +153,7 @@ def cmd_timeline(args) -> int:
     return EXIT_OK
 
 
-def _keep_freed_heap() -> None:
-    """Keep freed memory in glibc's heap, and serve blocks under 32 MB from it: each iteration re-allocates
-    the same few MB, which otherwise page-fault in afresh (conv-cifar: 170k-310k minor faults per run, 7k with this)."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
-    if mallopt and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"} & set(os.environ):
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_heap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {

@@ -8,6 +8,7 @@ networks can train concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,108 +209,111 @@ def _patch_index(c: int, h: int, w: int, kernel: int, stride: int) -> np.ndarray
     return idx
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, one gather through a cached index."""
+def _buffer(workspace: dict | None, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """``shape``-shaped leading elements of ``workspace[key]``, grown on demand; a new array without a workspace."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = workspace.get(key)
+    if buf is None or buf.size < size:
+        buf = workspace[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, one gather through a cached index.
+
+    The index is in range, so ``mode="clip"`` changes nothing but lets ``np.take`` fill ``out`` with no temporary.
+    """
     b, c, h, w = x.shape
-    return np.take(x.reshape(b, c * h * w), _patch_index(c, h, w, kernel, stride), axis=1)
+    return np.take(x.reshape(b, c * h * w), _patch_index(c, h, w, kernel, stride), axis=1, out=out, mode="clip")
 
 
-def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int) -> np.ndarray:
+def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int, out=None) -> np.ndarray:
     """The adjoint of _im2col: a scatter-add through its index, each pixel summed in ascending output position."""
     b, c, h, w = shape
     idx = _patch_index(c, h, w, kernel, stride).ravel()
-    dx = np.empty((b, c * h * w))
+    dx = np.empty((b, c * h * w)) if out is None else out
     for s in range(b):
         dx[s] = np.bincount(idx, weights=dcols[s].ravel(), minlength=c * h * w)
     return dx.reshape(shape)
 
 
-def _layer_input(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
-    """What the layer multiplies by its weights: x itself, or a conv layer's patch matrix."""
-    if isinstance(spec, Dense):
-        return x
-    return _im2col(x.reshape(x.shape[0], spec.in_channels, spec.height, spec.width), spec.kernel, spec.stride)
+def forward_with_cache(net: NetworkParams, batch: np.ndarray, workspace: dict | None = None) -> tuple[np.ndarray, list]:
+    """Logits, and per layer (layer input or patch matrix, activation) for backward.
 
-
-def _layer_pre(spec: LayerSpec, w: np.ndarray, b: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Pre-activation from the layer's input (dense) or patch matrix (conv)."""
-    if isinstance(spec, Dense):
-        return inputs @ w + b
-    batch, positions, patch = inputs.shape
-    pre = inputs.reshape(batch * positions, patch) @ w.reshape(spec.out_channels, patch).T + b
-    return pre.reshape(batch, positions, spec.out_channels).transpose(0, 2, 1).reshape(batch, spec.out_features)
-
-
-def _as_batch(batch: np.ndarray) -> np.ndarray:
+    With a ``workspace`` (an initially empty dict kept per network) every array this returns is a
+    view into it, overwritten by the next call that uses the same workspace.
+    """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"batch must be 2-D (samples x features), got shape {x.shape}")
-    return x
-
-
-def _check_width(i: int, spec: LayerSpec, x: np.ndarray) -> None:
-    if x.shape[1] != spec.in_features:
-        raise ShapeError(f"layer {i} expects {spec.in_features} input features, got {x.shape[1]}")
-
-
-def _activate(spec: LayerSpec, pre: np.ndarray) -> np.ndarray:
-    return np.maximum(pre, 0.0) if spec.activation == "relu" else pre
-
-
-def forward_with_cache(
-    net: NetworkParams, batch: np.ndarray
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Forward pass keeping (layer input or patch matrix, pre-activation) per layer for backward."""
-    x = _as_batch(batch)
+    rows = x.shape[0]
     cache = []
     for i, spec in enumerate(net.layers):
-        _check_width(i, spec, x)
-        inputs = _layer_input(spec, x)
-        pre = _layer_pre(spec, net.weights[i], net.biases[i], inputs)
-        cache.append((inputs, pre))
-        x = _activate(spec, pre)
+        if x.shape[1] != spec.in_features:
+            raise ShapeError(f"layer {i} expects {spec.in_features} input features, got {x.shape[1]}")
+        act = _buffer(workspace, ("act", i), (rows, spec.out_features))
+        if isinstance(spec, Dense):
+            inputs = x
+            np.add(np.matmul(x, net.weights[i], out=act), net.biases[i], out=act)
+        else:
+            oc, positions = spec.out_channels, spec.out_height * spec.out_width
+            patch = spec.in_channels * spec.kernel * spec.kernel
+            image = x.reshape(rows, spec.in_channels, spec.height, spec.width)
+            cols = _buffer(workspace, ("cols", i), (rows, positions, patch))
+            inputs = _im2col(image, spec.kernel, spec.stride, out=cols)
+            pre = _buffer(workspace, "gemm", (rows * positions, oc))  # backward's dcols reuses it
+            np.matmul(inputs.reshape(rows * positions, patch), net.weights[i].reshape(oc, patch).T, out=pre)
+            np.add(pre, net.biases[i], out=pre)
+            np.copyto(act.reshape(rows, oc, positions), pre.reshape(rows, positions, oc).transpose(0, 2, 1))
+        if spec.activation == "relu":
+            np.maximum(act, 0.0, out=act)
+        cache.append((inputs, act))
+        x = act
     return x, cache
 
 
 def forward(net: NetworkParams, batch: np.ndarray) -> np.ndarray:
-    """Logits for a (samples x features) batch; keeps no per-layer cache."""
-    x = _as_batch(batch)
-    for i, spec in enumerate(net.layers):
-        _check_width(i, spec, x)
-        x = _activate(spec, _layer_pre(spec, net.weights[i], net.biases[i], _layer_input(spec, x)))
-    return x
+    """Logits for a (samples x features) batch."""
+    return forward_with_cache(net, batch)[0]
 
 
 def backward_from_cache(
-    net: NetworkParams, cache: list[tuple[np.ndarray, np.ndarray]], logit_grads: np.ndarray, out: NetworkParams | None = None
+    net: NetworkParams, cache: list, logit_grads: np.ndarray,
+    out: NetworkParams | None = None, workspace: dict | None = None,
 ) -> NetworkParams:
-    """Backpropagate per-sample logit gradients, batch-averaged, into ``out`` (default ``net.zeros_like()``)."""
+    """Backpropagate per-sample logit gradients, batch-averaged, into ``out`` (default ``net.zeros_like()``).
+
+    ``logit_grads`` is only read. The gradient chain below the logits lives in ``workspace`` when given.
+    """
     g = np.asarray(logit_grads, dtype=np.float64)
     batch = cache[0][0].shape[0]
     if g.shape != (batch, net.out_features):
-        raise ShapeError(
-            f"logit_grads shape {g.shape} does not match output ({batch}, {net.out_features})"
-        )
+        raise ShapeError(f"logit_grads shape {g.shape} does not match output ({batch}, {net.out_features})")
     out = net.zeros_like() if out is None else out
     d = g
     for i in range(len(net.layers) - 1, -1, -1):
         spec = net.layers[i]
-        inputs, pre = cache[i]
-        if spec.activation == "relu":
-            d = d * (pre > 0)
+        inputs, act = cache[i]
+        if spec.activation == "relu":  # act > 0 is pre > 0; a multiply, not where=, keeps d * (pre > 0)'s -0.0
+            mask = np.greater(act, 0.0, out=_buffer(workspace, "mask", act.shape, bool))
+            # the input gradient of layer i goes to buffer i % 2; the caller's array is never written
+            d = np.multiply(d, mask, out=d if d is not g else _buffer(workspace, ("dx", (i + 1) % 2), d.shape))
         if isinstance(spec, Dense):
             np.divide(np.matmul(inputs.T, d, out=out.weights[i]), batch, out=out.weights[i])
             np.mean(d, axis=0, out=out.biases[i])
             if i > 0:
-                d = d @ net.weights[i].T
+                d = np.matmul(d, net.weights[i].T, out=_buffer(workspace, ("dx", i % 2), (batch, spec.in_features)))
         else:
             dmap = d.reshape(batch, spec.out_channels, -1)
             dw = np.tensordot(dmap, inputs, axes=([0, 2], [0, 1]))
             np.divide(dw.reshape(spec.weight_shape()), batch, out=out.weights[i])
             np.mean(dmap.sum(axis=2), axis=0, out=out.biases[i])
             if i > 0:
-                dcols = net.weights[i].reshape(spec.out_channels, -1).T @ dmap
+                dcols = _buffer(workspace, "gemm", (batch, inputs.shape[2], dmap.shape[2]))
+                np.matmul(net.weights[i].reshape(spec.out_channels, -1).T, dmap, out=dcols)
+                dx = _buffer(workspace, ("dx", i % 2), (batch, spec.in_features))
                 shape = (batch, spec.in_channels, spec.height, spec.width)
-                d = _col2im(dcols.transpose(0, 2, 1), shape, spec.kernel, spec.stride).reshape(batch, spec.in_features)
+                d = _col2im(dcols.transpose(0, 2, 1), shape, spec.kernel, spec.stride, out=dx).reshape(dx.shape)
     return out
-

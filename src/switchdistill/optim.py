@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,9 @@ def init_optimizer(
 
 
 def _check_finite(grads: NetworkParams) -> None:
-    for i, (dw, db) in enumerate(zip(grads.weights, grads.biases)):
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+    """Refuse a NaN or infinite gradient: a reduction's min and max show one, with no per-element temporary."""
+    for i, arrays in enumerate(zip(grads.weights, grads.biases)):
+        if not all(math.isfinite(a.min()) and math.isfinite(a.max()) for a in arrays):
             raise NumericError(f"non-finite gradient in layer {i}")
 
 

@@ -33,7 +33,7 @@ from .losses import (  # the closed-form gradients stay importable here: perfben
     student_logit_grad,
     teacher_logit_grad,
 )
-from .network import NetworkParams, backward_from_cache, conv_mlp, forward, forward_with_cache, init_params, mlp
+from .network import NetworkParams, backward_from_cache, conv_mlp, forward_with_cache, init_params, mlp
 from .optim import OPTIMIZERS, OptimizerState, init_optimizer, step
 
 STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
@@ -238,17 +238,19 @@ def scheduled_lr(base_lr: float, epoch: int, milestones: tuple[int, ...], gamma:
     return base_lr * (gamma**passed)
 
 
-def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 64) -> float:
+def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 64, workspace: dict | None = None) -> float:
     """Top-1 accuracy under the argmax of the unit-temperature softmax.
 
-    Rows go through the network ``chunk`` at a time, so the conv layers'
-    patch matrices and pre-activations are sized by the chunk, not the set.
+    Rows go through the network ``chunk`` at a time, all through one
+    workspace (``workspace``, or a new one), so the conv layers' patch
+    matrices and activations are sized by the chunk, not the set.
     """
     if len(ds) == 0:
         raise DomainError("cannot evaluate on an empty dataset")
+    workspace = {} if workspace is None else workspace
     hits = 0
     for start in range(0, len(ds), chunk):
-        logits = forward(net, ds.features[start : start + chunk])
+        logits, _ = forward_with_cache(net, ds.features[start : start + chunk], workspace)
         hits += int(np.sum(np.argmax(logits, axis=1) == ds.labels[start : start + chunk]))
     return hits / len(ds)
 
@@ -374,6 +376,7 @@ def run_training(
     }
     opts = {n: init_optimizer(nets[n], **asdict(defs[n].opt)) for n in names if n != TEACHER or table[TEACHER]}
     grad_bufs = {name: nets[name].zeros_like() for name in opts}
+    workspaces = {name: {} for name in names}  # each network's forward, backward and evaluate buffers
 
     timelines = {p: ModeTimeline() for p in pair_names}
     iter_log: dict[str, list[dict]] = {p: [] for p in pair_names}
@@ -403,7 +406,7 @@ def run_training(
             ptau: dict[str, np.ndarray] = {}
             ce: dict[str, float] = {}
             for name in names:
-                z, caches[name] = forward_with_cache(nets[name], x)
+                z, caches[name] = forward_with_cache(nets[name], x, workspaces[name])
                 p1[name], ptau[name] = soften(z, 1.0), soften(z, tau)
                 ce[name] = float(np.mean(ce_loss(y1h, p1[name])))
             targets = [pair_targets(table, t, s, ptau) for t, s in topo.pairs]
@@ -424,10 +427,11 @@ def run_training(
             }
             for name in names:
                 if name in grads_logit:
-                    grads = backward_from_cache(nets[name], caches[name], grads_logit[name], out=grad_bufs[name])
+                    grads = backward_from_cache(
+                        nets[name], caches[name], grads_logit[name], grad_bufs[name], workspaces[name]
+                    )
                     nets[name], opts[name] = step(nets[name], grads, opts[name])
                     stepped.add(name)
-            del caches  # patch matrices are not needed past backward, nor during evaluation
 
             for p, state, mode, comp in zip(pair_names, states, modes, components):
                 logged = state if mode == state.mode else replace(state, mode=mode)
@@ -459,7 +463,7 @@ def run_training(
             iteration += 1
         for name in names:  # a network that did not step is unchanged since its last evaluation
             if name in stepped or name not in accuracy:
-                accuracy[name] = evaluate(nets[name], test_ds)
+                accuracy[name] = evaluate(nets[name], test_ds, cfg.batch_size, workspaces[name])
         epoch_log.append({"epoch": epoch, **{f"{name}_acc": accuracy[name] for name in names}})
 
     return TrainResult(

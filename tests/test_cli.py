@@ -471,24 +471,3 @@ class TestTimelineCommand:
         assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert "iterations.jsonl:2" in err or "record 1" in err
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the heap settings are glibc's")
-@pytest.mark.parametrize(
-    "env", [{}, {"MALLOC_TRIM_THRESHOLD_": "131072"}, {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}]
-)
-def test_heap_settings_yield_to_the_environment(monkeypatch, env):
-    calls = []
-
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-    for key in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
-        monkeypatch.delenv(key, raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
-    cli._keep_freed_heap()
-    assert calls == ([] if env else [(-3, 32 << 20), (-1, 64 << 20)])  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD

@@ -254,6 +254,62 @@ class TestConvEngine:
         assert forward(net, x).tobytes() == logits.tobytes()
 
 
+def forward_backward(net, x, g, workspace):
+    """Logits and parameter gradients of one training step's network passes through ``workspace``."""
+    logits, cache = forward_with_cache(net, x, workspace)
+    return logits.copy(), backward_from_cache(net, cache, g, workspace=workspace)
+
+
+class TestWorkspace:
+    def test_warm_conv_step_allocates_less_than_one_patch_matrix(self):
+        # the conv-cifar teacher at batch 32: its patch matrices are the largest arrays of a step
+        net = init_params(conv_mlp((3, 32, 32), (16, 32), (64,), 10), 0)
+        rng = np.random.default_rng(1)
+        x, g = rng.uniform(size=(32, 3 * 32 * 32)), rng.normal(size=(32, 10))
+        workspace, buf = {}, net.zeros_like()
+        _, cache = forward_with_cache(net, x, workspace)
+        largest = max(inputs.nbytes for inputs, _ in cache[:2])
+        backward_from_cache(net, cache, g, out=buf, workspace=workspace)  # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, cache = forward_with_cache(net, x, workspace)
+            backward_from_cache(net, cache, g, out=buf, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest, (peak, largest)
+
+    @pytest.mark.parametrize("layers,in_dim", STACKS)
+    def test_short_batch_after_a_full_one_matches_a_fresh_workspace(self, layers, in_dim):
+        net = init_params(layers, 6)
+        rng = np.random.default_rng(9)
+        full, short = rng.normal(size=(32, in_dim)), rng.normal(size=(7, in_dim))
+        g_full, g_short = rng.normal(size=(32, net.out_features)), rng.normal(size=(7, net.out_features))
+        workspace = {}
+        forward_backward(net, full, g_full, workspace)
+        logits, grads = forward_backward(net, short, g_short, workspace)
+        fresh_logits, fresh_grads = forward_backward(net, short, g_short, {})
+        assert logits.tobytes() == fresh_logits.tobytes()
+        assert_same_bits(grads, fresh_grads)
+
+    @pytest.mark.parametrize(
+        "layers,in_dim",
+        [
+            *STACKS,
+            ((Dense(3, 4, "relu"), Dense(4, 2, "relu")), 3),
+            ((Conv2d(1, 2, 5, 5, 3, 1), Conv2d(2, 2, 3, 3, 2, 1)), 25),
+        ],
+    )
+    def test_backward_leaves_logit_grads_as_they_are(self, layers, in_dim):
+        net = init_params(layers, 2)
+        rng = np.random.default_rng(3)
+        x, g = rng.normal(size=(5, in_dim)), rng.normal(size=(5, net.out_features))
+        before = g.tobytes()
+        forward_backward(net, x, g, {})
+        assert g.tobytes() == before
+
+
 def oracle_step(net, grads, opt):
     """SGD and Adam written out per layer and per kind: ``step``'s bit-for-bit oracle."""
     new_w, new_b = [], []
@@ -400,11 +456,26 @@ class TestStep:
         assert backward_peak < largest
         assert step_peak < largest
 
-    def test_non_finite_gradient_names_layer(self):
+    def test_warm_adam_step_allocates_under_4kb(self):
+        net = init_params(mlp(16, (256, 256), 4), 0)  # the blob teacher
+        opt = init_optimizer(net, kind="adam", lr=0.01, momentum=0.9, weight_decay=1e-4)
+        grads = NetworkParams(net.layers, [np.full_like(w, 0.01) for w in net.weights], [np.full_like(b, 0.01) for b in net.biases])
+        step(net, grads, opt)  # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            step(net, grads, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_names_layer(self, bad):
         net = small_dense_net()
         opt = init_optimizer(net, kind="sgd", lr=0.1)
         grads = net.zeros_like()
-        grads.weights[1][0, 0] = np.nan
+        grads.weights[1][0, 0] = bad
         with pytest.raises(NumericError, match="layer 1"):
             step(net, grads, opt)
 

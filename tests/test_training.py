@@ -169,7 +169,7 @@ class TestSwitchPair:
 
         evaluated = []
         real = training.evaluate
-        monkeypatch.setattr(training, "evaluate", lambda net, ds: evaluated.append(net) or real(net, ds))
+        monkeypatch.setattr(training, "evaluate", lambda net, ds, *a: evaluated.append(net) or real(net, ds, *a))
         train, test = blob_pair()
         result = train_pair(pair_cfg(epochs=4), train, test, mode_hook=lambda *a: EXPERT)
         # the student every epoch; the always-frozen teacher once, in epoch 0
