@@ -15,6 +15,7 @@ from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeEr
 from .runio import (
     COMPARISON_FIELDS,
     check_comparable,
+    checked_data,
     comparison_rows,
     execute_run,
     read_jsonl,
@@ -101,10 +102,11 @@ def cmd_compare(args) -> int:
         setups.append((label, build_setup(values)))
     if not args.allow_mismatch:
         check_comparable(setups)
+    data = checked_data([setup for _, setup in setups])
     rows = []
-    for i, (label, setup) in enumerate(setups):
+    for i, ((label, setup), ds) in enumerate(zip(setups, data)):
         run_dir = os.path.join(args.out, f"run_{i:02d}_{label}")
-        result, _ = execute_run(setup, run_dir)
+        result, _ = execute_run(setup, run_dir, ds)
         rows.extend(comparison_rows(label, result))
     out_csv = os.path.join(args.out, "comparison.csv")
     write_csv(out_csv, COMPARISON_FIELDS, rows)

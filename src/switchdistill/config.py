@@ -152,26 +152,32 @@ class DataSettings:
     options: dict = field(default_factory=dict)
 
     def build(self) -> tuple[Dataset, Dataset]:
+        """The (train, test) datasets; an image file with no records is refused, naming it."""
+        o = self.options
         if self.kind == "blobs":
             return generate_blobs(
-                num_classes=self.options["classes"],
-                per_class=self.options["per_class"],
-                dims=self.options["dims"],
-                spread=self.options["spread"],
-                seed=self.options["seed"],
+                num_classes=o["classes"],
+                per_class=o["per_class"],
+                dims=o["dims"],
+                spread=o["spread"],
+                seed=o["seed"],
             )
         if self.kind == "idx":
-            train = load_idx(self.options["train_images"], self.options["train_labels"], "train")
-            test = load_idx(self.options["test_images"], self.options["test_labels"], "test")
-            if test.num_classes > train.num_classes:
-                raise FormatError(
-                    f"{self.options['test_labels']}: labels span {test.num_classes} classes, "
-                    f"but {self.options['train_labels']} spans only {train.num_classes}"
-                )
-            return train, test
-        k = self.options["classes"]
-        train = load_cifar_binary(self.options["train_path"], k, "train")
-        test = load_cifar_binary(self.options["test_path"], k, "test")
+            paths = (o["train_images"], o["test_images"])
+            train = load_idx(o["train_images"], o["train_labels"], "train")
+            test = load_idx(o["test_images"], o["test_labels"], "test")
+        else:
+            paths = (o["train_path"], o["test_path"])
+            train = load_cifar_binary(o["train_path"], o["classes"], "train")
+            test = load_cifar_binary(o["test_path"], o["classes"], "test")
+        for ds, path in zip((train, test), paths):
+            if len(ds) == 0:
+                raise FormatError(f"{path}: holds no records; the {ds.split} split needs at least one")
+        if test.num_classes > train.num_classes:  # only IDX sets take their class count from the labels
+            raise FormatError(
+                f"{o['test_labels']}: labels span {test.num_classes} classes, "
+                f"but {o['train_labels']} spans only {train.num_classes}"
+            )
         return train, test
 
     def describe(self) -> dict:

@@ -17,6 +17,7 @@ from .errors import DomainError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+PIXEL_DIVISOR = 255.0  # image bytes 0..255 scale to features in [0, 1]
 
 # Small feature scale keeps random-init logits near zero, so freshly built
 # networks start with near-uniform predictions and a small distillation gap.
@@ -25,31 +26,46 @@ BLOB_CENTER_SCALE = 1.0
 
 @dataclass
 class Dataset:
-    """Feature matrix plus integer class labels."""
+    """Stored feature rows plus integer class labels.
 
-    features: np.ndarray  # (n, dims) float64
+    Rows are float64 features, or, with a ``divisor`` other than 1, the
+    uint8 pixels an image file holds, kept at one byte per pixel. ``scale``
+    turns a batch or chunk of rows into float64 features.
+    """
+
+    rows: np.ndarray  # (n, dims): float64 features, or uint8 pixels
     labels: np.ndarray  # (n,) int64
     num_classes: int
     split: str = "train"
+    divisor: float = 1.0  # features = rows / divisor
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.rows = np.asarray(self.rows, dtype=np.float64 if self.divisor == 1.0 else None)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
+        if self.rows.ndim != 2:
             raise DomainError("features must be a 2-D matrix")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.rows.shape[0] != self.labels.shape[0]:
             raise DomainError(
-                f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels"
+                f"{self.rows.shape[0]} feature rows but {self.labels.shape[0]} labels"
             )
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DomainError("label outside [0, num_classes)")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dims(self) -> int:
-        return self.features.shape[1]
+        return self.rows.shape[1]
+
+    def scale(self, rows: np.ndarray) -> np.ndarray:
+        """Float64 features of stored ``rows``: ``rows / divisor``, or ``rows`` itself for a divisor of 1."""
+        return rows if self.divisor == 1.0 else np.divide(rows, self.divisor)
+
+    @property
+    def features(self) -> np.ndarray:
+        """The whole (n, dims) float64 feature matrix; a new copy for an image set."""
+        return self.scale(self.rows)
 
     def describe(self) -> dict:
         return {
@@ -117,7 +133,7 @@ def _read_bytes(path: str) -> bytes:
 
 
 def load_idx(images_path: str, labels_path: str, split: str = "train") -> Dataset:
-    """Parse an IDX image/label file pair into a [0, 1]-scaled Dataset."""
+    """Parse an IDX image/label file pair into a Dataset of uint8 pixels scaled to [0, 1]."""
     img_data = _read_bytes(images_path)
     lbl_data = _read_bytes(labels_path)
 
@@ -147,7 +163,7 @@ def load_idx(images_path: str, labels_path: str, split: str = "train") -> Datase
     pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     labels = np.frombuffer(lbl_data, dtype=np.uint8, offset=8).astype(np.int64)
     num_classes = int(labels.max()) + 1 if count else 1
-    return Dataset(pixels.astype(np.float64) / 255.0, labels, max(num_classes, 2), split)
+    return Dataset(pixels, labels, max(num_classes, 2), split, PIXEL_DIVISOR)
 
 
 def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Dataset:
@@ -155,7 +171,8 @@ def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Data
 
     The 100-class layout carries a coarse byte then a fine byte; the fine
     label is kept. Pixel order is preserved as stored: red plane, green
-    plane, blue plane, each row-major 32x32.
+    plane, blue plane, each row-major 32x32. The pixels stay a view of the
+    bytes read.
     """
     if num_classes not in (10, 100):
         raise DomainError("num_classes must be 10 or 100")
@@ -169,16 +186,16 @@ def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Data
     n = len(data) // record
     raw = np.frombuffer(data, dtype=np.uint8).reshape(n, record) if n else np.zeros((0, record), np.uint8)
     labels = raw[:, label_bytes - 1].astype(np.int64)
-    pixels = raw[:, label_bytes:].astype(np.float64) / 255.0
-    return Dataset(pixels, labels, num_classes, split)
+    return Dataset(raw[:, label_bytes:], labels, num_classes, split, PIXEL_DIVISOR)
 
 
 def batches(
     ds: Dataset, batch_size: int, seed: int, epoch: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Deterministic shuffled batches; the order is a pure function of (seed, epoch).
+    """Deterministic shuffled batches of stored rows; the order is a pure function of (seed, epoch).
 
     The final short batch is kept, so one epoch covers the dataset exactly.
+    ``ds.scale`` turns a batch's rows into features.
     """
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
@@ -186,16 +203,16 @@ def batches(
     order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]
-        yield ds.features[idx], ds.labels[idx]
+        yield ds.rows[idx], ds.labels[idx]
 
 
 def augment_flip_crop(
-    features: np.ndarray,
+    rows: np.ndarray,
     shape: tuple[int, int, int],
     rng: np.random.Generator,
     pad: int = 2,
 ) -> np.ndarray:
-    """Random horizontal flip and shifted crop for image-shaped feature rows.
+    """Random horizontal flip and shifted crop for image-shaped rows of any dtype.
 
     Each sample draws its crop offsets, then its flip. The flip is applied
     while padding: the flipped crop at column offset j is the crop of the
@@ -203,7 +220,7 @@ def augment_flip_crop(
     crop.
     """
     c, h, w = shape
-    x = features.reshape(-1, c, h, w)
+    x = rows.reshape(-1, c, h, w)
     n = x.shape[0]
     offsets = np.empty((n, 2), dtype=np.int64)
     flips = np.empty(n, dtype=bool)
@@ -216,4 +233,4 @@ def augment_flip_crop(
     inner[flips] = x[flips, :, :, ::-1]
     cols = np.where(flips, 2 * pad - offsets[:, 1], offsets[:, 1])
     crops = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
-    return crops[np.arange(n), :, offsets[:, 0], cols].reshape(features.shape)
+    return crops[np.arange(n), :, offsets[:, 0], cols].reshape(rows.shape)

@@ -11,9 +11,10 @@ from datetime import datetime, timezone
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import RunSetup
+from .datasets import Dataset
 from .errors import ConfigError, FormatError
 from .gap import EXPERT, LEARNING, GapState
-from .training import ModeTimeline, TrainResult, run_training
+from .training import ModeTimeline, TrainResult, check_data_fit, run_training
 
 MANIFEST_NAME = "manifest.json"
 RUN_FORMAT = "switchdistill-run"
@@ -54,14 +55,40 @@ def _iteration_file(pair_name: str, single: bool) -> str:
     return "iterations.jsonl" if single else f"iterations_{pair_name}.jsonl"
 
 
-def execute_run(setup: RunSetup, run_dir: str) -> tuple[TrainResult, dict]:
+def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset] | None]:
+    """Make every setup's data-dependent checks before any of them trains.
+
+    Image and IDX data is loaded, once per distinct source, and returned for
+    ``execute_run``. Blob data is sized from its config and not generated
+    (None).
+    """
+    loaded: dict[str, tuple[Dataset, Dataset]] = {}
+    out = []
+    for setup in setups:
+        if setup.data.kind == "blobs":
+            data, dims, classes = None, setup.data.options["dims"], setup.data.options["classes"]
+        else:
+            source = json.dumps(setup.data.describe(), sort_keys=True)
+            if source not in loaded:
+                loaded[source] = setup.data.build()
+            data = loaded[source]
+            dims, classes = data[0].dims, data[0].num_classes
+        check_data_fit(setup.train, dims, classes)
+        out.append(data)
+    return out
+
+
+def execute_run(
+    setup: RunSetup, run_dir: str, data: tuple[Dataset, Dataset] | None = None
+) -> tuple[TrainResult, dict]:
     """Train per the setup and write every artifact plus the manifest.
 
-    The run directory is created only once training has finished, so a run
-    that fails before then leaves nothing behind.
+    ``data`` is the setup's (train, test) datasets, if already built. The
+    run directory is created only once training has finished, so a run that
+    fails before then leaves nothing behind.
     """
     started = datetime.now(timezone.utc).isoformat()
-    train_ds, test_ds = setup.data.build()
+    train_ds, test_ds = data if data is not None else setup.data.build()
     result = run_training(setup.train, train_ds, test_ds)
     os.makedirs(run_dir, exist_ok=True)
 

@@ -241,16 +241,17 @@ def scheduled_lr(base_lr: float, epoch: int, milestones: tuple[int, ...], gamma:
 def evaluate(net: NetworkParams, ds: Dataset, chunk: int = 64, workspace: dict | None = None) -> float:
     """Top-1 accuracy under the argmax of the unit-temperature softmax.
 
-    Rows go through the network ``chunk`` at a time, all through one
-    workspace (``workspace``, or a new one), so the conv layers' patch
-    matrices and activations are sized by the chunk, not the set.
+    Rows are scaled and go through the network ``chunk`` at a time, all
+    through one workspace (``workspace``, or a new one), so the features and
+    the conv layers' patch matrices and activations are sized by the chunk,
+    not the set.
     """
     if len(ds) == 0:
         raise DomainError("cannot evaluate on an empty dataset")
     workspace = {} if workspace is None else workspace
     hits = 0
     for start in range(0, len(ds), chunk):
-        logits, _ = forward_with_cache(net, ds.features[start : start + chunk], workspace)
+        logits, _ = forward_with_cache(net, ds.scale(ds.rows[start : start + chunk]), workspace)
         hits += int(np.sum(np.argmax(logits, axis=1) == ds.labels[start : start + chunk]))
     return hits / len(ds)
 
@@ -274,6 +275,26 @@ def _load_teacher(path: str, in_dim: int, num_classes: int) -> NetworkParams:
             f"{net.out_features} classes, but the data has {in_dim} features and {num_classes} classes"
         )
     return net
+
+
+def _check_image_shape(cfg: TrainConfig, dims: int) -> None:
+    if cfg.image_shape is not None and math.prod(cfg.image_shape) != dims:
+        c, h, w = cfg.image_shape
+        raise ConfigError(
+            f"data.channels, data.height, data.width: image shape {c}x{h}x{w} holds {c * h * w} features, "
+            f"but the data has {dims}"
+        )
+
+
+def check_data_fit(cfg: TrainConfig, dims: int, num_classes: int) -> None:
+    """The checks ``run_training`` makes of its data, on the data's size alone.
+
+    Raises ConfigError unless the image shape holds ``dims`` features and a
+    kd-offline teacher checkpoint maps ``dims`` features to ``num_classes``.
+    """
+    _check_image_shape(cfg, dims)
+    if cfg.strategy == "kd-offline":
+        _load_teacher(cfg.teacher_checkpoint, dims, num_classes)
 
 
 def pair_targets(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, np.ndarray]:
@@ -353,12 +374,7 @@ def run_training(
     cfg.validate()
     if len(train_ds) == 0:
         raise DomainError("training data is empty")
-    if cfg.image_shape is not None and math.prod(cfg.image_shape) != train_ds.dims:
-        c, h, w = cfg.image_shape
-        raise ConfigError(
-            f"data.channels, data.height, data.width: image shape {c}x{h}x{w} holds {c * h * w} features, "
-            f"but the data has {train_ds.dims}"
-        )
+    _check_image_shape(cfg, train_ds.dims)
     k = train_ds.num_classes
     topo = TOPOLOGY_TABLE[cfg.topology]
     names, pair_names = topo.names, cfg.pair_names()
@@ -397,9 +413,10 @@ def run_training(
         for name in opts:
             opts[name] = replace(opts[name], lr=scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
         stepped: set[str] = set()
-        for x, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
+        for rows, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
             if cfg.augment:
-                x = augment_flip_crop(x, cfg.image_shape, aug_rng)
+                rows = augment_flip_crop(rows, cfg.image_shape, aug_rng)
+            x = train_ds.scale(rows)
             y1h = one_hot(labels, k)
             caches: dict[str, list] = {}
             p1: dict[str, np.ndarray] = {}

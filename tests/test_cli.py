@@ -102,6 +102,22 @@ def missing_data_cfg(tmp_path):
     return str(path)
 
 
+def cifar_cfg(tmp_path, train_records, test_records):
+    """A CIFAR-10 config whose train and test files hold the given numbers of random records."""
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, n in (("train", train_records), ("test", test_records)):
+        paths[split] = tmp_path / f"{split}.bin"
+        labels = rng.integers(0, 10, size=(n, 1))
+        paths[split].write_bytes(np.hstack([labels, rng.integers(0, 256, size=(n, 3072))]).astype(np.uint8).tobytes())
+    path = tmp_path / "cifar.cfg"
+    path.write_text(
+        "epochs = 1\nbatch_size = 4\nstudent.hidden = 4\nteacher.hidden = 4\ndata.kind = cifar\n"
+        f"data.classes = 10\ndata.train_path = {paths['train']}\ndata.test_path = {paths['test']}\n"
+    )
+    return str(path)
+
+
 def idx_cfg(tmp_path, train_labels, test_labels):
     """An IDX config over 2x2 images whose train and test splits carry the given labels."""
     paths = {}
@@ -295,6 +311,23 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and train_labels in err and test_labels in err, err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("kind", ["cifar", "idx"])
+    def test_empty_split_exits_1_naming_the_file(self, tmp_path, capsys, kind, split):
+        if kind == "cifar":
+            records = {"train": 8, "test": 4, split: 0}
+            cfg = cifar_cfg(tmp_path, records["train"], records["test"])
+            empty = tmp_path / f"{split}.bin"
+        else:
+            labels = {"train": [0, 1] * 4, "test": [0, 1], split: []}
+            cfg, _, _ = idx_cfg(tmp_path, labels["train"], labels["test"])
+            empty = tmp_path / split / "images.idx"
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {empty}: holds no records; the {split} split needs at least one", err
+        assert not os.path.exists(out)
+
     def test_idx_test_split_with_fewer_classes_trains(self, tmp_path):
         cfg, _, _ = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1] * 4)
         out = str(tmp_path / "r")
@@ -372,6 +405,32 @@ class TestCompareCommand:
         out = tmp_path / "cmp"
         code = main(["compare", "--configs", str(a), str(b), "--out", str(out), "--allow-mismatch"])
         assert_config_error(code, capsys, out, "data.classes")
+
+    @pytest.mark.parametrize("misfit", ["image_shape", "teacher_checkpoint", "idx_labels"])
+    def test_later_config_whose_data_does_not_fit_fails_before_any_run(self, tmp_path, capsys, misfit):
+        first, later = tmp_path / "first.cfg", tmp_path / "later.cfg"
+        if misfit == "image_shape":  # a 3x32x32 image shape on the reference config's 16-feature blobs
+            reference = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "reference_switch.cfg")
+            first.write_text(open(reference).read())
+            later.write_text(first.read_text() + "data.channels = 3\ndata.height = 32\ndata.width = 32\nstudent.conv = 4\n")
+            words = ["error: data.channels, data.height, data.width:", "3072", "has 16"]
+        elif misfit == "teacher_checkpoint":  # 8 input features for the 6 blob features
+            ckpt = str(tmp_path / "teacher.npz")
+            save_checkpoint(ckpt, init_params(mlp(8, (4,), 3), 0))
+            first.write_text(SMALL_CFG)
+            later.write_text(SMALL_CFG + f"strategy = kd-offline\nkd.teacher_checkpoint = {ckpt}\n")
+            words = ["error: kd.teacher_checkpoint:", ckpt]
+        else:
+            cfg, train_labels, test_labels = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2, 3, 4] * 4)
+            first.write_text(SMALL_CFG)
+            later = cfg
+            words = [train_labels, test_labels]
+        out = tmp_path / "cmp"
+        args = ["compare", "--configs", str(first), str(later), "--out", str(out), "--allow-mismatch"]
+        assert main(args + ["--set", "epochs=1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and all(w in err for w in words), err
+        assert not os.path.exists(out)
 
 
 class TestGradCheckCommand:

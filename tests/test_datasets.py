@@ -2,6 +2,7 @@
 in-test, and epoch batching round-trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,20 @@ class TestCifarLoader:
         assert ds.features[0, 0] == pytest.approx(pixels[0] / 255.0)
         assert ds.features[0, -1] == pytest.approx(pixels[-1] / 255.0)
 
+    def test_loading_peaks_below_twice_the_file_size(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "batch.bin"
+        path.write_bytes(np.hstack([rng.integers(0, 10, size=(200, 1)), rng.integers(0, 256, size=(200, 3072))])
+                         .astype(np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            ds = load_cifar_binary(str(path), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 200
+        assert peak < 2 * path.stat().st_size, (peak, path.stat().st_size)
+
     def test_zero_length_is_valid_empty(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
@@ -202,6 +217,21 @@ class TestBatches:
         seen = np.concatenate([x for x, _ in batches(self.ds, 3, seed=7, epoch=2)])
         original = np.sort(self.ds.features.reshape(-1))
         np.testing.assert_array_equal(np.sort(seen.reshape(-1)), original)
+
+    @pytest.mark.parametrize("kind", ["idx", "cifar"])
+    def test_scaled_image_rows_are_the_pixels_over_255(self, tmp_path, kind):
+        pixels = np.random.default_rng(2).integers(0, 256, size=(10, 3072), dtype=np.uint8)
+        labels = np.arange(10, dtype=np.uint8)  # one row per class, so a batch's labels index its rows
+        if kind == "idx":
+            ds = load_idx(*write_idx_pair(tmp_path, pixels.reshape(10, 48, 64), labels))
+        else:
+            path = tmp_path / "batch.bin"
+            path.write_bytes(np.hstack([labels[:, None], pixels]).tobytes())
+            ds = load_cifar_binary(str(path), 10)
+        assert ds.rows.dtype == np.uint8
+        for rows, batch_labels in batches(ds, 4, seed=1, epoch=0):
+            assert ds.scale(rows).tobytes() == (pixels[batch_labels] / 255.0).tobytes()
+        assert ds.features.tobytes() == (pixels / 255.0).tobytes()
 
     def test_bad_batch_size(self):
         with pytest.raises(DomainError):

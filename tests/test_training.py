@@ -1,14 +1,16 @@
 """Training-loop tests: mode switching, frozen-teacher guarantees, baseline
 strategy behavior, bit-level strategy equivalence, triples, and evaluation."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_datasets import write_idx_pair
 
 from switchdistill.checkpoint import save_checkpoint
-from switchdistill.datasets import Dataset, generate_blobs
+from switchdistill.datasets import Dataset, generate_blobs, load_idx
 from switchdistill.errors import ConfigError, DomainError, NumericError
 from switchdistill.gap import EXPERT, LEARNING, GapState
 from switchdistill.losses import (
@@ -499,6 +501,55 @@ class TestEvaluate:
         net = NetworkParams((Dense(2, 2),), [np.eye(2)], [np.zeros(2)])
         with pytest.raises(DomainError):
             evaluate(net, ds)
+
+
+def idx_splits(tmp_path, pixels, labels):
+    """{split: uint8-resident IDX Dataset} of the given (n, rows, cols) pixels and labels per split."""
+    out = {}
+    for split in pixels:
+        (tmp_path / split).mkdir()
+        out[split] = load_idx(*write_idx_pair(tmp_path / split, pixels[split], labels[split]), split)
+    return out
+
+
+class TestImageSets:
+    def test_uint8_rows_train_bit_identically_to_their_float64_features(self, tmp_path):
+        rng = np.random.default_rng(21)
+        pixels = {"train": rng.integers(0, 256, size=(48, 8, 8), dtype=np.uint8),
+                  "test": rng.integers(0, 256, size=(20, 8, 8), dtype=np.uint8)}
+        labels = {split: np.arange(len(p), dtype=np.uint8) % 3 for split, p in pixels.items()}
+        resident = idx_splits(tmp_path, pixels, labels)
+        assert resident["train"].rows.dtype == np.uint8
+        floats = {split: Dataset(p.reshape(len(p), -1) / 255.0, labels[split], 3, split) for split, p in pixels.items()}
+        cfg = pair_cfg(
+            student=NetworkDef(hidden=(8,), conv_channels=(2,), opt=ADAM),
+            teacher=NetworkDef(hidden=(16,), conv_channels=(4,), opt=HOT_ADAM),
+            image_shape=(1, 8, 8),
+            augment=True,
+        )
+        a = run_training(cfg, resident["train"], resident["test"])
+        b = run_training(cfg, floats["train"], floats["test"])
+        assert a.iteration_log == b.iteration_log
+        assert a.epoch_log == b.epoch_log
+        for name in a.networks:
+            paths = [str(tmp_path / f"{tag}_{name}.npz") for tag in ("a", "b")]
+            save_checkpoint(paths[0], a.networks[name])
+            save_checkpoint(paths[1], b.networks[name])
+            assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), name
+
+    def test_training_never_builds_the_float64_matrix(self, tmp_path):
+        n, shape = 4096, (1, 16, 16)
+        matrix_bytes = n * math.prod(shape) * 8  # 8 MiB as float64, 1 MiB as bytes
+        pixels = np.random.default_rng(5).integers(0, 256, size=(n, 16, 16), dtype=np.uint8)
+        cfg = pair_cfg(epochs=1, batch_size=32, image_shape=shape, augment=True)
+        tracemalloc.start()
+        try:
+            images = idx_splits(tmp_path, {"train": pixels}, {"train": np.arange(n, dtype=np.uint8) % 4})["train"]
+            run_training(cfg, images, images)  # it is the test set too, so evaluation reads the whole set
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes, (peak, matrix_bytes)
 
 
 class TestConfigAndSchedule:
