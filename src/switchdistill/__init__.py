@@ -15,12 +15,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
-from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode
+from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode, mode_stats
 from .losses import ce_loss, degeneration_curve, ensemble_target, kl_loss, one_hot, soften
 from .network import Conv2d, Dense, NetworkParams, conv_mlp, forward, init_params, mlp
 from .optim import OptimizerState, init_optimizer, step
 from .training import (
-    ModeTimeline,
     NetworkDef,
     OptimizerSettings,
     TrainConfig,
@@ -41,6 +40,7 @@ __all__ = [
     "GapState",
     "batch_gap_state",
     "decide_mode",
+    "mode_stats",
     "ce_loss",
     "degeneration_curve",
     "ensemble_target",
@@ -57,7 +57,6 @@ __all__ = [
     "OptimizerState",
     "init_optimizer",
     "step",
-    "ModeTimeline",
     "NetworkDef",
     "OptimizerSettings",
     "TrainConfig",

@@ -15,6 +15,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ class GapState:
     teacher_err: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.iteration, bool) or not isinstance(self.iteration, int):
+            raise DomainError(f"iteration must be an integer, got {self.iteration!r}")
+        for name in ("G", "r", "epsilon", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
         if self.iteration < 0:
             raise DomainError("iteration must be non-negative")
         if not 0.0 <= self.G <= 2.0 + 1e-9:
@@ -59,6 +66,20 @@ class GapState:
             "delta": self.delta,
             "mode": self.mode,
         }
+
+
+def mode_stats(modes) -> dict:
+    """Iteration count, switch count and per-mode fractions of a sequence of modes.
+
+    A switch is an iteration whose mode differs from the one before it.
+    """
+    modes = list(modes)
+    n = len(modes)
+    return {
+        "iterations": n,
+        "switch_count": sum(a != b for a, b in zip(modes, modes[1:])),
+        **{f"{mode}_fraction": modes.count(mode) / max(n, 1) for mode in MODES},
+    }
 
 
 def threshold_from_errors(student_err, teacher_err):

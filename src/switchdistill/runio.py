@@ -12,13 +12,14 @@ from . import __version__
 from .checkpoint import save_checkpoint
 from .config import RunSetup
 from .datasets import Dataset
-from .errors import ConfigError, FormatError
-from .gap import EXPERT, LEARNING, GapState
-from .training import ModeTimeline, TrainResult, check_data_fit, run_training
+from .errors import ConfigError, DomainError, FormatError
+from .gap import EXPERT, LEARNING, GapState, mode_stats
+from .training import TEACHER, TrainResult, check_data_fit, run_training
 
 MANIFEST_NAME = "manifest.json"
 RUN_FORMAT = "switchdistill-run"
 RUN_VERSION = 1
+STATE_FIELDS = ("iteration", "G", "r", "epsilon", "delta", "mode")  # the GapState fields an iteration record holds
 
 
 def write_jsonl(path: str, records: list[dict]) -> None:
@@ -139,28 +140,17 @@ def execute_run(
 def _freeze_stats(result: TrainResult, net_name: str) -> tuple[int, float]:
     """(switch_count, frozen fraction) of the mode sequence governing one network.
 
-    Networks in a single pair use that pair's timeline. A network tied to two
-    pairs (the shared teacher or shared student in a triple) is governed by
-    the all-pairs-expert indicator, i.e. the iterations it was fully
-    suspended. A pre-trained offline teacher is a permanently frozen expert.
+    A network is frozen on the iterations where every pair it belongs to is
+    in expert mode, so a network in one pair follows that pair's modes. Runs
+    that do not switch log every iteration as learning. A pre-trained offline
+    teacher is a permanently frozen expert.
     """
     cfg = result.config
-    if cfg.strategy == "kd-offline" and net_name == "teacher":
+    if cfg.strategy == "kd-offline" and net_name == TEACHER:
         return 0, 1.0
-    if cfg.strategy != "switch":
-        return 0, 0.0
-    own_pairs = [p for p in cfg.pair_names() if net_name in p.split("_")]
-    if not own_pairs:
-        return 0, 0.0
-    if len(own_pairs) == 1:
-        tl = result.timelines[own_pairs[0]]
-        return tl.switch_count, tl.fractions()[EXPERT]
-    seqs = [result.timelines[p].states for p in own_pairs]
-    flags = [all(s.mode == EXPERT for s in step_states) for step_states in zip(*seqs)]
-    if not flags:
-        return 0, 0.0
-    switches = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
-    return switches, sum(flags) / len(flags)
+    logs = [result.iteration_log[p] for p in cfg.pair_names() if net_name in p.split("_")]
+    stats = mode_stats(EXPERT if all(r["mode"] == EXPERT for r in step) else LEARNING for step in zip(*logs))
+    return stats["switch_count"], stats["expert_fraction"]
 
 
 COMPARISON_FIELDS = [
@@ -211,25 +201,22 @@ def check_comparable(setups: list[tuple[str, RunSetup]]) -> None:
 
 
 def summarize_timeline(records: list[dict]) -> dict:
-    """Recount modes and switches from iteration JSONL records."""
-    timeline = ModeTimeline()
+    """Check iteration JSONL records, then count their modes and switches.
+
+    Every record must hold a valid ``GapState`` and iterations must strictly
+    increase; a record that does not is a FormatError naming it.
+    """
+    last = -1
     for i, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise FormatError(f"record {i}: not a JSON object")
         try:
-            state_fields = {
-                "iteration": rec["iteration"],
-                "G": rec["G"],
-                "r": rec["r"],
-                "epsilon": rec["epsilon"],
-                "delta": rec["delta"],
-                "mode": rec["mode"],
-            }
+            state = GapState(**{key: rec[key] for key in STATE_FIELDS})
         except KeyError as exc:
             raise FormatError(f"record {i}: missing field {exc.args[0]!r}") from exc
-        timeline.append(GapState(**state_fields))
-    summary = timeline.summary()
-    return {
-        "iterations": summary["iterations"],
-        "switch_count": summary["switch_count"],
-        "learning_fraction": summary["fractions"][LEARNING],
-        "expert_fraction": summary["fractions"][EXPERT],
-    }
+        except DomainError as exc:
+            raise FormatError(f"record {i}: {exc}") from exc
+        if state.iteration <= last:
+            raise FormatError(f"record {i}: iteration {state.iteration} is not after {last}")
+        last = state.iteration
+    return mode_stats(rec["mode"] for rec in records)

@@ -13,7 +13,7 @@ therefore reproduces mutual learning bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .datasets import Dataset, augment_flip_crop, batches
 from .errors import ConfigError, DomainError, NumericError, ShapeError
-from .gap import EXPERT, LEARNING, GapState, batch_gap_state
+from .gap import LEARNING, GapState, batch_gap_state
 from .losses import (  # the closed-form gradients stay importable here: perfbench/tracer.py wraps them
     ce_loss,
     ensemble_target,
@@ -178,50 +178,10 @@ class TrainConfig:
 
 
 @dataclass
-class ModeTimeline:
-    """Ordered per-iteration gap states plus switch statistics."""
-
-    states: list[GapState] = field(default_factory=list)
-
-    def append(self, state: GapState) -> None:
-        if self.states and state.iteration <= self.states[-1].iteration:
-            raise DomainError("timeline iterations must be strictly increasing")
-        self.states.append(state)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def switch_count(self) -> int:
-        return sum(
-            1 for a, b in zip(self.states, self.states[1:]) if a.mode != b.mode
-        )
-
-    def counts(self) -> dict[str, int]:
-        out = {LEARNING: 0, EXPERT: 0}
-        for s in self.states:
-            out[s.mode] += 1
-        return out
-
-    def fractions(self) -> dict[str, float]:
-        n = max(len(self.states), 1)
-        return {mode: c / n for mode, c in self.counts().items()}
-
-    def summary(self) -> dict:
-        return {
-            "iterations": len(self.states),
-            "switch_count": self.switch_count,
-            "counts": self.counts(),
-            "fractions": self.fractions(),
-        }
-
-
-@dataclass
 class TrainResult:
     config: TrainConfig
     networks: dict[str, NetworkParams]
     opts: dict[str, OptimizerState]  # no entry for the kd-offline teacher, which never steps
-    timelines: dict[str, ModeTimeline]
     iteration_log: dict[str, list[dict]]
     epoch_log: list[dict]
 
@@ -394,7 +354,6 @@ def run_training(
     grad_bufs = {name: nets[name].zeros_like() for name in opts}
     workspaces = {name: {} for name in names}  # each network's forward, backward and evaluate buffers
 
-    timelines = {p: ModeTimeline() for p in pair_names}
     iter_log: dict[str, list[dict]] = {p: [] for p in pair_names}
     epoch_log: list[dict] = []
     accuracy: dict[str, float] = {}
@@ -452,7 +411,6 @@ def run_training(
 
             for p, state, mode, comp in zip(pair_names, states, modes, components):
                 logged = state if mode == state.mode else replace(state, mode=mode)
-                timelines[p].append(logged)
                 rec = logged.to_record()
                 rec.update({key: comp[r, q] for key, r, q in log_keys})
                 rec["student_err_l1"] = state.student_err
@@ -487,7 +445,6 @@ def run_training(
         config=cfg,
         networks=nets,
         opts=opts,
-        timelines=timelines,
         iteration_log=iter_log,
         epoch_log=epoch_log,
     )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from switchdistill.datasets import generate_blobs
+from switchdistill.gap import MODES, mode_stats
 from switchdistill.training import NetworkDef, OptimizerSettings, TrainConfig, train_pair
 
 settings.register_profile("deterministic", derandomize=True)
@@ -53,9 +54,9 @@ def reference_runs():
             strategy: train_pair(reference_config(strategy, seed), train, test)
             for strategy in ("switch", "dml", "vanilla")
         }
-        timeline = results["switch"].timelines["teacher_student"]
-        per_seed["counts"] = timeline.counts()
-        per_seed["switch_count"] = timeline.switch_count
+        modes = [r["mode"] for r in results["switch"].iteration_log["teacher_student"]]
+        per_seed["counts"] = {mode: modes.count(mode) for mode in MODES}
+        per_seed["switch_count"] = mode_stats(modes)["switch_count"]
         for strategy in ("switch", "dml"):
             recs = results[strategy].iteration_log["teacher_student"]
             quarter = recs[3 * len(recs) // 4 :]

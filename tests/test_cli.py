@@ -523,6 +523,44 @@ class TestTimelineCommand:
     def test_missing_log_exits_1(self, tmp_path):
         assert main(["timeline", "--run", str(tmp_path), "--out", str(tmp_path / "t.csv")]) == 1
 
+    VALID = {"iteration": 4, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": "learning"}
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {**VALID, "mode": "paused"},
+            {**VALID, "G": 2.5},
+            {**VALID, "iteration": 2},
+            {**VALID, "iteration": 3},
+            "x",
+            [1, 2],
+            {**VALID, "iteration": "a"},
+            {**VALID, "G": None},
+            {**VALID, "delta": None},
+            {**VALID, "delta": float("nan")},
+        ],
+        ids=[
+            "unknown-mode",
+            "G-out-of-range",
+            "decreasing-iteration",
+            "repeated-iteration",
+            "string",
+            "list",
+            "text-iteration",
+            "null-G",
+            "null-delta",
+            "nan-delta",
+        ],
+    )
+    def test_malformed_record_exits_1_naming_it(self, tmp_path, capsys, record):
+        run = tmp_path / "run"
+        run.mkdir()
+        lines = [{**self.VALID, "iteration": 3}, record, {**self.VALID, "iteration": 5}]
+        (run / "iterations.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 2: ") and err.count("\n") == 1, err
+
     def test_corrupt_line_reports_line_number(self, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()

@@ -9,7 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchdistill.errors import DomainError, ShapeError
-from switchdistill.gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode, threshold_from_errors
+from switchdistill.gap import (
+    EXPERT,
+    LEARNING,
+    GapState,
+    batch_gap_state,
+    decide_mode,
+    mode_stats,
+    threshold_from_errors,
+)
 from switchdistill.losses import one_hot, soften
 
 
@@ -248,3 +256,25 @@ class TestBatchGapState:
     def test_record_field_order(self):
         state = GapState(iteration=2, G=0.5, r=0.3, epsilon=0.74, delta=0.4, mode=EXPERT)
         assert list(state.to_record().keys()) == ["iteration", "G", "r", "epsilon", "delta", "mode"]
+
+
+class TestModeStats:
+    @pytest.mark.parametrize(
+        "modes, iterations, switches, expert",
+        [
+            ([], 0, 0, 0.0),
+            ([LEARNING], 1, 0, 0.0),
+            ([EXPERT] * 3, 3, 0, 1.0),
+            ([LEARNING, EXPERT] * 2, 4, 3, 0.5),
+            ([LEARNING, EXPERT, EXPERT, LEARNING], 4, 2, 0.5),
+        ],
+        ids=["empty", "single", "all-expert", "alternating", "one-frozen-run"],
+    )
+    def test_counts(self, modes, iterations, switches, expert):
+        stats = mode_stats(iter(modes))
+        assert stats == {
+            "iterations": iterations,
+            "switch_count": switches,
+            "learning_fraction": 1.0 - expert if modes else 0.0,
+            "expert_fraction": expert,
+        }

@@ -2,8 +2,10 @@
 
 import pytest
 
+from switchdistill.checkpoint import save_checkpoint
 from switchdistill.config import build_setup
 from switchdistill.errors import FormatError
+from switchdistill.gap import mode_stats
 from switchdistill.runio import (
     check_comparable,
     comparison_rows,
@@ -12,23 +14,30 @@ from switchdistill.runio import (
 )
 from switchdistill.training import train_pair
 
+# a weak student and a fast teacher on overlapping blobs, so that switch runs
+# spend some iterations, but not all, in expert mode
+SMALL = {
+    "epochs": "6",
+    "batch_size": "16",
+    "data.classes": "3",
+    "data.dims": "6",
+    "data.per_class": "30",
+    "data.spread": "1.0",
+    "student.hidden": "2",
+    "teacher.hidden": "64,64",
+    "teacher.lr": "0.05",
+}
+
+
+def small_run(**overrides):
+    setup = build_setup({**SMALL, **overrides})
+    train, test = setup.data.build()
+    return setup, train_pair(setup.train, train, test)
+
 
 @pytest.fixture(scope="module")
 def small_result():
-    setup = build_setup(
-        {
-            "epochs": "2",
-            "batch_size": "16",
-            "data.classes": "3",
-            "data.dims": "6",
-            "data.per_class": "30",
-            "data.spread": "0.4",
-            "student.hidden": "8",
-            "teacher.hidden": "16,16",
-        }
-    )
-    train, test = setup.data.build()
-    return setup, train_pair(setup.train, train, test)
+    return small_run()
 
 
 class TestJsonl:
@@ -48,10 +57,10 @@ class TestSummarizeTimeline:
         _, result = small_result
         records = result.iteration_log["teacher_student"]
         summary = summarize_timeline(records)
-        timeline = result.timelines["teacher_student"]
-        assert summary["iterations"] == len(timeline.states)
-        assert summary["switch_count"] == timeline.switch_count
-        assert summary["expert_fraction"] == pytest.approx(timeline.fractions()["expert"])
+        modes = [r["mode"] for r in records]
+        assert summary["iterations"] == len(records)
+        assert summary["switch_count"] == sum(1 for a, b in zip(modes, modes[1:]) if a != b)
+        assert summary["expert_fraction"] == modes.count("expert") / len(modes)
 
     def test_missing_field_reported(self):
         with pytest.raises(FormatError, match="record 1"):
@@ -65,11 +74,43 @@ class TestComparisonRows:
         assert [r["network"] for r in rows] == ["student", "teacher"]
         student = rows[0]
         assert student["role"] == "student"
-        assert student["switch_count"] == result.timelines["teacher_student"].switch_count
+        stats = mode_stats(r["mode"] for r in result.iteration_log["teacher_student"])
+        assert student["switch_count"] == stats["switch_count"]
         teacher = rows[1]
-        assert teacher["expert_fraction"] == pytest.approx(
-            result.timelines["teacher_student"].fractions()["expert"]
-        )
+        assert teacher["expert_fraction"] == stats["expert_fraction"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"topology": "1t2s", "third.hidden": "8"},
+            {"topology": "2t1s", "third.hidden": "64,64", "third.lr": "0.05"},
+            {"strategy": "vanilla"},
+            {"strategy": "kd-offline", "alpha": "0.5"},
+        ],
+        ids=["1t2s", "2t1s", "vanilla", "kd-offline"],
+    )
+    def test_rows_recount_the_iteration_log(self, overrides, tmp_path):
+        if overrides.get("strategy") == "kd-offline":
+            _, pre = small_run(strategy="vanilla")
+            ckpt = str(tmp_path / "teacher.npz")
+            save_checkpoint(ckpt, pre.networks["teacher"])
+            overrides = {**overrides, "kd.teacher_checkpoint": ckpt}
+        _, result = small_run(**overrides)
+        cfg = result.config
+        rows = comparison_rows("x", result)
+        if cfg.strategy == "switch":
+            assert any(0 < row["expert_fraction"] < 1 for row in rows)
+        for row in rows:
+            net = row["network"]
+            if cfg.strategy == "kd-offline" and net == "teacher":
+                expected = (0, 1.0)  # a pre-trained teacher never steps
+            else:
+                # a network is frozen on the iterations where every pair it belongs to is in expert mode
+                logs = [result.iteration_log[p] for p in cfg.pair_names() if net in p.split("_")]
+                frozen = [all(r["mode"] == "expert" for r in recs) for recs in zip(*logs)]
+                switches = sum(1 for a, b in zip(frozen, frozen[1:]) if a != b)
+                expected = (switches, sum(frozen) / len(frozen))
+            assert (row["switch_count"], row["expert_fraction"]) == expected, net
 
     def test_check_comparable_accepts_same(self, small_result):
         setup, _ = small_result

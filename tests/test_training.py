@@ -12,7 +12,7 @@ from test_datasets import write_idx_pair
 from switchdistill.checkpoint import save_checkpoint
 from switchdistill.datasets import Dataset, generate_blobs, load_idx
 from switchdistill.errors import ConfigError, DomainError, NumericError
-from switchdistill.gap import EXPERT, LEARNING, GapState
+from switchdistill.gap import EXPERT, LEARNING, GapState, mode_stats
 from switchdistill.losses import (
     ensemble_target,
     kd_logit_grad,
@@ -23,9 +23,9 @@ from switchdistill.losses import (
     teacher_logit_grad,
 )
 from switchdistill.network import Dense, NetworkParams, conv_mlp, forward, init_params, mlp
+from switchdistill.runio import STATE_FIELDS
 from switchdistill.training import (
     TOPOLOGY_TABLE,
-    ModeTimeline,
     NetworkDef,
     OptimizerSettings,
     TrainConfig,
@@ -120,11 +120,10 @@ class TestSwitchPair:
             teacher=NetworkDef(hidden=(128, 128), opt=HOT_ADAM),
         )
         result = train_pair(cfg, train, test)
-        timeline = result.timelines["teacher_student"]
-        assert len(timeline.states) <= 2000
-        counts = timeline.counts()
-        assert counts[LEARNING] > 0 and counts[EXPERT] > 0
-        assert timeline.switch_count >= 1
+        stats = mode_stats(r["mode"] for r in result.iteration_log["teacher_student"])
+        assert stats["iterations"] <= 2000
+        assert 0 < stats["expert_fraction"] < 1
+        assert stats["switch_count"] >= 1
 
     def test_frozen_teacher_under_forced_alternation(self):
         train, test = blob_pair()
@@ -182,8 +181,8 @@ class TestSwitchPair:
     def test_mode_recorded_matches_decision_without_hook(self):
         train, test = blob_pair()
         result = train_pair(pair_cfg(epochs=2), train, test)
-        for state in result.timelines["teacher_student"].states:
-            assert state.mode == (LEARNING if state.G <= state.delta else EXPERT)
+        for rec in result.iteration_log["teacher_student"]:
+            assert rec["mode"] == (LEARNING if rec["G"] <= rec["delta"] else EXPERT)
 
     def test_determinism(self):
         train, test = blob_pair()
@@ -432,9 +431,9 @@ class TestMultiNetwork:
     def test_per_pair_timelines_logged(self):
         train, test = blob_pair()
         result = train_multi(self.multi_cfg("1t2s"), train, test)
-        assert set(result.timelines) == {"teacher_student", "teacher_student2"}
-        n = len(result.timelines["teacher_student"].states)
-        assert n == len(result.timelines["teacher_student2"].states) > 0
+        assert set(result.iteration_log) == {"teacher_student", "teacher_student2"}
+        n = len(result.iteration_log["teacher_student"])
+        assert n == len(result.iteration_log["teacher_student2"]) > 0
 
     def test_topology_requires_third_network(self):
         with pytest.raises(ConfigError, match="third"):
@@ -628,9 +627,9 @@ class TestConfigAndSchedule:
     def test_pair_state_view(self):
         train, test = blob_pair()
         res = train_pair(pair_cfg(epochs=1), train, test)
-        timeline = res.timelines["teacher_student"]
-        assert timeline.states[-1].mode in (LEARNING, EXPERT)
-        assert len(timeline.states) == len(res.iteration_log["teacher_student"])
+        records = res.iteration_log["teacher_student"]
+        states = [GapState(**{key: rec[key] for key in STATE_FIELDS}) for rec in records]
+        assert [state.iteration for state in states] == list(range(len(records)))
 
 
 class TestGapTrend:
@@ -650,20 +649,3 @@ class TestGapTrend:
         switch_t = np.median([s["switch_teacher_acc"] for s in seeds])
         dml_t = np.median([s["dml_teacher_acc"] for s in seeds])
         assert switch_t >= dml_t - 0.02, (switch_t, dml_t)
-
-
-class TestModeTimeline:
-    def test_iterations_strictly_increasing(self):
-        tl = ModeTimeline()
-        tl.append(GapState(0, 0.1, 0.1, 0.9, 0.2, LEARNING))
-        with pytest.raises(DomainError):
-            tl.append(GapState(0, 0.1, 0.1, 0.9, 0.2, EXPERT))
-
-    def test_summary_counts(self):
-        tl = ModeTimeline()
-        for i, mode in enumerate([LEARNING, EXPERT, EXPERT, LEARNING]):
-            tl.append(GapState(i, 0.1, 0.1, 0.9, 0.2, mode))
-        s = tl.summary()
-        assert s["switch_count"] == 2
-        assert s["counts"] == {LEARNING: 2, EXPERT: 2}
-        assert sum(s["counts"].values()) == s["iterations"] == 4
