@@ -1,6 +1,6 @@
 """Command-line interface: train, compare, grad-check, and timeline.
 
-Exit codes: 0 success, 1 configuration or input validation failure,
+Exit codes: 0 success, 1 configuration, input or output-path failure,
 2 runtime or numeric failure.
 """
 
@@ -18,7 +18,7 @@ from .runio import (
     checked_data,
     comparison_rows,
     execute_run,
-    read_jsonl,
+    read_numbered_jsonl,
     summarize_timeline,
     write_csv,
 )
@@ -87,7 +87,7 @@ def _say(line: str) -> None:
 def cmd_train(args) -> int:
     values = apply_overrides(load_config(args.config), args.overrides)
     setup = build_setup(values)
-    _, manifest = execute_run(setup, args.out)
+    _, manifest = execute_run(setup, args.out, checked_data([setup])[0])
     _say(f"run complete: {args.out}")
     for name in manifest["artifacts"]:
         _say(f"  {name}")
@@ -102,11 +102,11 @@ def cmd_compare(args) -> int:
         setups.append((label, build_setup(values)))
     if not args.allow_mismatch:
         check_comparable(setups)
-    data = checked_data([setup for _, setup in setups])
+    inputs = checked_data([setup for _, setup in setups])
     rows = []
-    for i, ((label, setup), ds) in enumerate(zip(setups, data)):
+    for i, ((label, setup), run_inputs) in enumerate(zip(setups, inputs)):
         run_dir = os.path.join(args.out, f"run_{i:02d}_{label}")
-        result, _ = execute_run(setup, run_dir, ds)
+        result, _ = execute_run(setup, run_dir, run_inputs)
         rows.extend(comparison_rows(label, result))
     out_csv = os.path.join(args.out, "comparison.csv")
     write_csv(out_csv, COMPARISON_FIELDS, rows)
@@ -136,8 +136,9 @@ def cmd_grad_check(args) -> int:
 
 def cmd_timeline(args) -> int:
     path = os.path.join(args.run, args.file)
-    records = read_jsonl(path)
-    summary = summarize_timeline(records)
+    numbered = read_numbered_jsonl(path)
+    records = [rec for _, rec in numbered]
+    summary = summarize_timeline(records, [f"{path}:{lineno}" for lineno, _ in numbered])
     rows = [
         {
             "iteration": rec["iteration"],
@@ -172,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, ShapeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

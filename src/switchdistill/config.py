@@ -15,7 +15,7 @@ from typing import Callable
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .errors import ConfigError, FormatError
-from .training import NetworkDef, OptimizerSettings, TrainConfig
+from .training import TOPOLOGY_TABLE, NetworkDef, OptimizerSettings, TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -189,6 +189,7 @@ class RunSetup:
     train: TrainConfig
     data: DataSettings
     resolved: dict[str, str]
+    teacher_checkpoint: str | None = None  # the pre-trained teacher of a kd-offline run
 
 
 def _network_def(typed: dict, prefix: str) -> NetworkDef:
@@ -244,7 +245,8 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         raise ConfigError(f"{given[0]}: requires {missing} as well; the image shape takes all three keys or none")
 
     topology = typed["topology"]
-    third = _network_def(typed, "third") if topology in ("1t2s", "2t1s") else None
+    names = TOPOLOGY_TABLE[topology].names if topology in TOPOLOGY_TABLE else ()
+    third = _network_def(typed, "third") if len(names) > 2 else None
     train = TrainConfig(
         strategy=typed["strategy"],
         topology=topology,
@@ -259,9 +261,10 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         third=third,
         lr_milestones=typed["lr.milestones"],
         lr_gamma=typed["lr.gamma"],
-        teacher_checkpoint=typed.get("kd.teacher_checkpoint"),
         image_shape=tuple(typed[key] for key in IMAGE_KEYS) if given else None,
         augment=typed["data.augment"],
     )
-    train.validate()
-    return RunSetup(train=train, data=DataSettings(kind=kind, options=options), resolved=resolved)
+    checkpoint = typed.get("kd.teacher_checkpoint")
+    if train.strategy == "kd-offline" and not checkpoint:
+        raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
+    return RunSetup(train, DataSettings(kind=kind, options=options), resolved, checkpoint)

@@ -9,12 +9,13 @@ import os
 from datetime import datetime, timezone
 
 from . import __version__
-from .checkpoint import save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunSetup
 from .datasets import Dataset
 from .errors import ConfigError, DomainError, FormatError
 from .gap import EXPERT, LEARNING, GapState, mode_stats
-from .training import TEACHER, TrainResult, check_data_fit, run_training
+from .network import NetworkParams
+from .training import TEACHER, TOPOLOGY_TABLE, TrainResult, check_image_shape, run_training
 
 MANIFEST_NAME = "manifest.json"
 RUN_FORMAT = "switchdistill-run"
@@ -28,7 +29,8 @@ def write_jsonl(path: str, records: list[dict]) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def read_jsonl(path: str) -> list[dict]:
+def read_numbered_jsonl(path: str) -> list[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSONL file."""
     if not os.path.exists(path):
         raise FormatError(f"missing JSONL file {path}")
     records = []
@@ -38,10 +40,14 @@ def read_jsonl(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: corrupt JSONL line ({exc.msg})") from exc
     return records
+
+
+def read_jsonl(path: str) -> list[dict]:
+    return [rec for _, rec in read_numbered_jsonl(path)]
 
 
 def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -56,41 +62,47 @@ def _iteration_file(pair_name: str, single: bool) -> str:
     return "iterations.jsonl" if single else f"iterations_{pair_name}.jsonl"
 
 
-def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset] | None]:
-    """Make every setup's data-dependent checks before any of them trains.
+def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[str, NetworkParams]]]:
+    """Every setup's (train, test, initial) inputs, with every data-dependent check made before any of them trains.
 
-    Image and IDX data is loaded, once per distinct source, and returned for
-    ``execute_run``. Blob data is sized from its config and not generated
-    (None).
+    Each distinct data source is built once and each kd-offline teacher
+    checkpoint read once. A checkpoint is refused unless it maps the data's
+    features to its classes; it is the run's ``initial`` teacher.
     """
-    loaded: dict[str, tuple[Dataset, Dataset]] = {}
+    built: dict[str, tuple[Dataset, Dataset]] = {}
+    teachers: dict[str, NetworkParams] = {}
     out = []
     for setup in setups:
-        if setup.data.kind == "blobs":
-            data, dims, classes = None, setup.data.options["dims"], setup.data.options["classes"]
-        else:
-            source = json.dumps(setup.data.describe(), sort_keys=True)
-            if source not in loaded:
-                loaded[source] = setup.data.build()
-            data = loaded[source]
-            dims, classes = data[0].dims, data[0].num_classes
-        check_data_fit(setup.train, dims, classes)
-        out.append(data)
+        source = json.dumps(setup.data.describe(), sort_keys=True)
+        if source not in built:
+            built[source] = setup.data.build()
+        train, test = built[source]
+        check_image_shape(setup.train, train.dims)
+        initial = {}
+        if setup.train.strategy == "kd-offline":
+            path = setup.teacher_checkpoint
+            if path not in teachers:
+                teachers[path] = load_checkpoint(path)
+            net = initial[TEACHER] = teachers[path]
+            maps = (net.layers[0].in_features, net.out_features)
+            if maps != (train.dims, train.num_classes):
+                raise ConfigError(
+                    f"kd.teacher_checkpoint: {path} maps {maps[0]} input features to {maps[1]} classes, "
+                    f"but the data has {train.dims} features and {train.num_classes} classes"
+                )
+        out.append((train, test, initial))
     return out
 
 
-def execute_run(
-    setup: RunSetup, run_dir: str, data: tuple[Dataset, Dataset] | None = None
-) -> tuple[TrainResult, dict]:
-    """Train per the setup and write every artifact plus the manifest.
+def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResult, dict]:
+    """Train per the setup on its ``checked_data`` inputs and write every artifact plus the manifest.
 
-    ``data`` is the setup's (train, test) datasets, if already built. The
-    run directory is created only once training has finished, so a run that
-    fails before then leaves nothing behind.
+    The run directory is created only once training has finished, so a run
+    that fails before then leaves nothing behind.
     """
     started = datetime.now(timezone.utc).isoformat()
-    train_ds, test_ds = data if data is not None else setup.data.build()
-    result = run_training(setup.train, train_ds, test_ds)
+    train_ds, test_ds, initial = inputs
+    result = run_training(setup.train, train_ds, test_ds, initial=initial)
     os.makedirs(run_dir, exist_ok=True)
 
     artifacts: list[str] = []
@@ -148,7 +160,8 @@ def _freeze_stats(result: TrainResult, net_name: str) -> tuple[int, float]:
     cfg = result.config
     if cfg.strategy == "kd-offline" and net_name == TEACHER:
         return 0, 1.0
-    logs = [result.iteration_log[p] for p in cfg.pair_names() if net_name in p.split("_")]
+    pairs = zip(cfg.pair_names(), TOPOLOGY_TABLE[cfg.topology].pairs)
+    logs = [result.iteration_log[p] for p, pair in pairs if net_name in pair]
     stats = mode_stats(EXPERT if all(r["mode"] == EXPERT for r in step) else LEARNING for step in zip(*logs))
     return stats["switch_count"], stats["expert_fraction"]
 
@@ -200,23 +213,25 @@ def check_comparable(setups: list[tuple[str, RunSetup]]) -> None:
             )
 
 
-def summarize_timeline(records: list[dict]) -> dict:
+def summarize_timeline(records: list[dict], locations: list[str] | None = None) -> dict:
     """Check iteration JSONL records, then count their modes and switches.
 
     Every record must hold a valid ``GapState`` and iterations must strictly
-    increase; a record that does not is a FormatError naming it.
+    increase; a record that does not is a FormatError naming its number and,
+    when ``locations`` are given, its location (``path:line``).
     """
     last = -1
     for i, rec in enumerate(records, start=1):
+        at = f"record {i}: " + (f"{locations[i - 1]}: " if locations else "")
         if not isinstance(rec, dict):
-            raise FormatError(f"record {i}: not a JSON object")
+            raise FormatError(f"{at}not a JSON object")
         try:
             state = GapState(**{key: rec[key] for key in STATE_FIELDS})
         except KeyError as exc:
-            raise FormatError(f"record {i}: missing field {exc.args[0]!r}") from exc
+            raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
         except DomainError as exc:
-            raise FormatError(f"record {i}: {exc}") from exc
+            raise FormatError(f"{at}{exc}") from exc
         if state.iteration <= last:
-            raise FormatError(f"record {i}: iteration {state.iteration} is not after {last}")
+            raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
         last = state.iteration
     return mode_stats(rec["mode"] for rec in records)

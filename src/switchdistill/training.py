@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .datasets import Dataset, augment_flip_crop, batches
 from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .gap import LEARNING, GapState, batch_gap_state
@@ -106,6 +105,8 @@ class NetworkDef:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's training settings; a bad value is refused on construction, naming its config key."""
+
     strategy: str = "switch"
     topology: str = "pair"
     alpha: float = 1.0
@@ -119,11 +120,10 @@ class TrainConfig:
     third: NetworkDef | None = None  # second student (1t2s) or second teacher (2t1s)
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1
-    teacher_checkpoint: str | None = None
     image_shape: tuple[int, int, int] | None = None
     augment: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         nets = {"student": self.student, "teacher": self.teacher, "third": self.third}
         opts = {name: defn.opt for name, defn in nets.items() if defn is not None}
         numbers = {"alpha": self.alpha, "beta": self.beta, "tau": self.tau, "lr.gamma": self.lr_gamma}
@@ -147,8 +147,6 @@ class TrainConfig:
             raise ConfigError("topology: triples require strategy=switch; baselines run pairwise")
         if self.topology != "pair" and self.third is None:
             raise ConfigError("topology: triples need a third network definition")
-        if self.strategy == "kd-offline" and not self.teacher_checkpoint:
-            raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
         if self.tau <= 0:
             raise ConfigError("tau: must be positive")
         if self.epochs < 1:
@@ -226,35 +224,14 @@ def build_network(defn: NetworkDef, in_dim: int, num_classes: int, seed: int, ro
     return init_params(layers, rng)
 
 
-def _load_teacher(path: str, in_dim: int, num_classes: int) -> NetworkParams:
-    """The kd-offline teacher checkpoint, refused unless it maps the data's features to its classes."""
-    net = load_checkpoint(path)
-    if (net.layers[0].in_features, net.out_features) != (in_dim, num_classes):
-        raise ConfigError(
-            f"kd.teacher_checkpoint: {path} maps {net.layers[0].in_features} input features to "
-            f"{net.out_features} classes, but the data has {in_dim} features and {num_classes} classes"
-        )
-    return net
-
-
-def _check_image_shape(cfg: TrainConfig, dims: int) -> None:
+def check_image_shape(cfg: TrainConfig, dims: int) -> None:
+    """Raise ConfigError unless the configured image shape, if any, holds ``dims`` features."""
     if cfg.image_shape is not None and math.prod(cfg.image_shape) != dims:
         c, h, w = cfg.image_shape
         raise ConfigError(
             f"data.channels, data.height, data.width: image shape {c}x{h}x{w} holds {c * h * w} features, "
             f"but the data has {dims}"
         )
-
-
-def check_data_fit(cfg: TrainConfig, dims: int, num_classes: int) -> None:
-    """The checks ``run_training`` makes of its data, on the data's size alone.
-
-    Raises ConfigError unless the image shape holds ``dims`` features and a
-    kd-offline teacher checkpoint maps ``dims`` features to ``num_classes``.
-    """
-    _check_image_shape(cfg, dims)
-    if cfg.strategy == "kd-offline":
-        _load_teacher(cfg.teacher_checkpoint, dims, num_classes)
 
 
 def pair_targets(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, np.ndarray]:
@@ -329,25 +306,22 @@ def run_training(
     ``mode_hook`` (iteration, pair_name, computed_state) -> mode lets tests
     pin or force the switching decision; ``inspect`` (iteration, payload)
     sees each iteration after the steps; ``initial`` injects copies of
-    pre-built networks in place of the seeded initialization.
+    pre-built networks in place of the seeded initialization, and is the
+    only source of the kd-offline teacher.
     """
-    cfg.validate()
     if len(train_ds) == 0:
         raise DomainError("training data is empty")
-    _check_image_shape(cfg, train_ds.dims)
+    check_image_shape(cfg, train_ds.dims)
     k = train_ds.num_classes
     topo = TOPOLOGY_TABLE[cfg.topology]
     names, pair_names = topo.names, cfg.pair_names()
     table = objectives(cfg.strategy, cfg.alpha, cfg.beta)
     defs = dict(zip(names, (cfg.student, cfg.teacher, cfg.third)))
     initial = {name: net.copy() for name, net in (initial or {}).items()}  # never train the caller's arrays
+    if cfg.strategy == "kd-offline" and TEACHER not in initial:
+        raise ConfigError("kd.teacher_checkpoint: strategy=kd-offline needs its pre-trained teacher in initial")
     nets = {
-        name: initial.get(name)
-        or (
-            _load_teacher(cfg.teacher_checkpoint, train_ds.dims, k)
-            if name == TEACHER and cfg.strategy == "kd-offline"
-            else build_network(defs[name], train_ds.dims, k, cfg.seed, role, cfg.image_shape)
-        )
+        name: initial.get(name) or build_network(defs[name], train_ds.dims, k, cfg.seed, role, cfg.image_shape)
         for role, name in enumerate(names)
     }
     opts = {n: init_optimizer(nets[n], **asdict(defs[n].opt)) for n in names if n != TEACHER or table[TEACHER]}

@@ -95,7 +95,8 @@ def logit_grad_check(
     table = objectives(strategy, alpha, beta)
     roles = [("pair", role) for role in (STUDENT, TEACHER) if table[role] is not None]
     if strategy == "switch":  # the only strategy that trains triples
-        roles += [(topo, role) for topo in ("1t2s", "2t1s") for role in (STUDENT, TEACHER)]
+        triples = [name for name, topo in TOPOLOGY_TABLE.items() if len(topo.pairs) > 1]
+        roles += [(topo, role) for topo in triples for role in (STUDENT, TEACHER)]
     cases = []
     for topology, name in roles:
         topo = TOPOLOGY_TABLE[topology]

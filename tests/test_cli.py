@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from test_datasets import write_idx_pair
 
-from switchdistill import cli, training
+from switchdistill import cli, config, runio, training
 from switchdistill.checkpoint import save_checkpoint
 from switchdistill.cli import main
 from switchdistill.config import KEYS
@@ -397,6 +397,34 @@ class TestCompareCommand:
         assert main(["compare", "--configs", str(a), str(b), "--out", out]) == 1
         assert main(["compare", "--configs", str(a), str(b), "--out", out, "--allow-mismatch"]) == 0
 
+    def test_each_data_source_is_built_and_each_checkpoint_read_once(self, tmp_path, monkeypatch):
+        ckpt = str(tmp_path / "teacher.npz")
+        save_checkpoint(ckpt, init_params(mlp(6, (4,), 3), 0))
+        paths = []
+        for label, extra in (
+            ("vanilla", "strategy = vanilla\n"),
+            ("switch", ""),
+            ("kd", f"strategy = kd-offline\nkd.teacher_checkpoint = {ckpt}\n"),
+            ("kd_half", f"strategy = kd-offline\nalpha = 0.5\nkd.teacher_checkpoint = {ckpt}\n"),
+        ):
+            paths.append(tmp_path / f"{label}.cfg")
+            paths[-1].write_text(SMALL_CFG + extra)
+        calls = {"build": 0, "load": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(config.DataSettings, "build", counted("build", config.DataSettings.build))
+        monkeypatch.setattr(runio, "load_checkpoint", counted("load", runio.load_checkpoint))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--configs", *map(str, paths), "--out", str(out), "--set", "epochs=1"]) == 0
+        assert calls == {"build": 1, "load": 1}
+        assert len(os.listdir(out)) == 5  # four run directories and comparison.csv
+
     def test_bad_later_config_fails_before_any_run(self, tmp_path, capsys):
         a = tmp_path / "a.cfg"
         b = tmp_path / "b.cfg"
@@ -472,6 +500,25 @@ def test_closed_stdout_keeps_each_commands_exit_code(cfg_file, tmp_path):
     assert run_dir_files(out) == manifest["artifacts"]
     check = run_into_closed_pipe(["grad-check", "--inject-fault", "--trials", "10"])
     assert (check.returncode, check.stderr) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "timeline"])
+def test_unwritable_output_path_exits_1_naming_it(cfg_file, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")  # a path under a regular file
+    run = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_file, "--out", run]) == 0
+    args = {
+        "train": ["train", "--config", cfg_file, "--out", out],
+        "compare": ["compare", "--configs", cfg_file, "--out", out],
+        "timeline": ["timeline", "--run", run, "--out", str(tmp_path / "missing" / "t.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    path = args[-1] if command == "timeline" else out
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
 class TestTimelineCommand:
@@ -560,6 +607,16 @@ class TestTimelineCommand:
         assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: record 2: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("line", [json.dumps({**VALID, "iteration": 1}), "not json"], ids=["record", "json"])
+    def test_bad_line_after_a_blank_one_is_named_by_its_line(self, tmp_path, capsys, line):
+        run = tmp_path / "run"
+        run.mkdir()
+        path = run / "iterations.jsonl"
+        path.write_text(json.dumps({**self.VALID, "iteration": 3}) + "\n\n" + line + "\n")
+        assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:3: " in err and err.count("\n") == 1, err
 
     def test_corrupt_line_reports_line_number(self, tmp_path, capsys):
         run = tmp_path / "run"

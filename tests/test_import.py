@@ -30,3 +30,12 @@ def imported_thread_setting(preset):
 @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
 def test_import_pins_openblas_threads_unless_preset(preset, expected):
     assert imported_thread_setting(preset) == expected
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """perfbench/tracer.py wraps names of the package by attribute; renaming one breaks traced benchmark runs."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import tracer; tracer.install(tracer.Tracer())"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=perfbench, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -2,7 +2,7 @@
 
 import pytest
 
-from switchdistill.checkpoint import save_checkpoint
+from switchdistill.checkpoint import load_checkpoint, save_checkpoint
 from switchdistill.config import build_setup
 from switchdistill.errors import FormatError
 from switchdistill.gap import mode_stats
@@ -29,10 +29,10 @@ SMALL = {
 }
 
 
-def small_run(**overrides):
+def small_run(initial=None, **overrides):
     setup = build_setup({**SMALL, **overrides})
     train, test = setup.data.build()
-    return setup, train_pair(setup.train, train, test)
+    return setup, train_pair(setup.train, train, test, initial=initial)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +90,14 @@ class TestComparisonRows:
         ids=["1t2s", "2t1s", "vanilla", "kd-offline"],
     )
     def test_rows_recount_the_iteration_log(self, overrides, tmp_path):
+        initial = None
         if overrides.get("strategy") == "kd-offline":
             _, pre = small_run(strategy="vanilla")
             ckpt = str(tmp_path / "teacher.npz")
             save_checkpoint(ckpt, pre.networks["teacher"])
             overrides = {**overrides, "kd.teacher_checkpoint": ckpt}
-        _, result = small_run(**overrides)
+            initial = {"teacher": load_checkpoint(ckpt)}
+        _, result = small_run(initial, **overrides)
         cfg = result.config
         rows = comparison_rows("x", result)
         if cfg.strategy == "switch":

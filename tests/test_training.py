@@ -4,12 +4,13 @@ strategy behavior, bit-level strategy equivalence, triples, and evaluation."""
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_datasets import write_idx_pair
 
-from switchdistill.checkpoint import save_checkpoint
+from switchdistill.checkpoint import load_checkpoint, save_checkpoint
 from switchdistill.datasets import Dataset, generate_blobs, load_idx
 from switchdistill.errors import ConfigError, DomainError, NumericError
 from switchdistill.gap import EXPERT, LEARNING, GapState, mode_stats
@@ -302,8 +303,8 @@ class TestBaselines:
         ckpt = tmp_path / "teacher.npz"
         save_checkpoint(str(ckpt), pre.networks["teacher"])
 
-        cfg = pair_cfg("kd-offline", epochs=2, alpha=0.5, teacher_checkpoint=str(ckpt))
-        result = train_pair(cfg, train, test)
+        cfg = pair_cfg("kd-offline", epochs=2, alpha=0.5)
+        result = train_pair(cfg, train, test, initial={"teacher": load_checkpoint(str(ckpt))})
         assert params_bytes(result.networks["teacher"]) == params_bytes(pre.networks["teacher"])
         for rec in result.iteration_log["teacher_student"]:
             assert rec["mode"] == LEARNING
@@ -314,15 +315,22 @@ class TestBaselines:
         ckpt = tmp_path / "teacher.npz"
         save_checkpoint(str(ckpt), pre.networks["teacher"])
         seen = []
-        cfg = pair_cfg("kd-offline", epochs=1, alpha=0.5, teacher_checkpoint=str(ckpt))
-        result = train_pair(cfg, train, test, inspect=lambda i, info: seen.append(info["teacher_opt"]))
+        cfg = pair_cfg("kd-offline", epochs=1, alpha=0.5)
+        result = train_pair(
+            cfg, train, test,
+            inspect=lambda i, info: seen.append(info["teacher_opt"]),
+            initial={"teacher": load_checkpoint(str(ckpt))},
+        )
         assert set(result.opts) == {"student"}
         assert seen and all(opt is None for opt in seen)
         assert params_bytes(result.networks["teacher"]) == params_bytes(pre.networks["teacher"])
 
     def test_kd_offline_requires_checkpoint(self):
-        with pytest.raises(ConfigError, match="teacher_checkpoint"):
-            pair_cfg("kd-offline").validate()
+        train, test = blob_pair()
+        student = init_params(mlp(train.dims, (8,), train.num_classes), 0)
+        for initial in (None, {"student": student}):  # the teacher comes only through initial
+            with pytest.raises(ConfigError, match=r"^kd\.teacher_checkpoint: .*initial"):
+                run_training(pair_cfg("kd-offline"), train, test, initial=initial)
 
     def test_baseline_log_schema_matches_switch(self):
         train, test = blob_pair()
@@ -437,11 +445,11 @@ class TestMultiNetwork:
 
     def test_topology_requires_third_network(self):
         with pytest.raises(ConfigError, match="third"):
-            TrainConfig(strategy="switch", topology="1t2s", third=None).validate()
+            TrainConfig(strategy="switch", topology="1t2s", third=None)
 
     def test_baselines_rejected_for_triples(self):
         with pytest.raises(ConfigError, match="pairwise"):
-            TrainConfig(strategy="dml", topology="1t2s", third=NetworkDef()).validate()
+            TrainConfig(strategy="dml", topology="1t2s", third=NetworkDef())
 
 
 class TestEvaluate:
@@ -571,13 +579,17 @@ class TestConfigAndSchedule:
 
     def test_invalid_fields(self):
         with pytest.raises(ConfigError):
-            pair_cfg(strategy="banana").validate()
+            pair_cfg(strategy="banana")
         with pytest.raises(ConfigError):
-            pair_cfg(tau=0.0).validate()
+            pair_cfg(tau=0.0)
         with pytest.raises(ConfigError):
-            pair_cfg(alpha=-0.1).validate()
+            pair_cfg(alpha=-0.1)
         with pytest.raises(ConfigError):
-            pair_cfg(epochs=0).validate()
+            pair_cfg(epochs=0)
+
+    def test_replaced_fields_are_checked_too(self):
+        with pytest.raises(ConfigError, match="^epochs: "):
+            replace(pair_cfg(), epochs=0)
 
     def test_run_training_dispatch(self):
         train, test = blob_pair()
@@ -592,8 +604,6 @@ class TestConfigAndSchedule:
         test = Dataset(feats[:10], labels[:10], 2)
         base = pair_cfg(epochs=2, student=NetworkDef(hidden=(4,), opt=ADAM), teacher=NetworkDef(hidden=(8,), opt=ADAM))
         plain = train_pair(base, train, test)
-        from dataclasses import replace
-
         augmented = train_pair(
             replace(base, augment=True, image_shape=(1, 3, 3)), train, test
         )
@@ -601,7 +611,7 @@ class TestConfigAndSchedule:
 
     def test_augment_requires_image_shape(self):
         with pytest.raises(ConfigError, match="image_shape"):
-            pair_cfg(augment=True).validate()
+            pair_cfg(augment=True)
 
     @pytest.mark.parametrize(
         "fields,key",
@@ -609,7 +619,7 @@ class TestConfigAndSchedule:
             ({"alpha": -0.1}, "alpha"),
             ({"beta": -0.1}, "beta"),
             ({"lr_gamma": 0.0}, "lr.gamma"),
-            ({"strategy": "kd-offline"}, "kd.teacher_checkpoint"),
+            ({"tau": 0.0}, "tau"),
             ({"augment": True}, "data.augment"),
             ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2,))}, "teacher.conv"),
             ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2, 2)), "image_shape": (1, 4, 4)}, "teacher.conv"),
@@ -617,7 +627,7 @@ class TestConfigAndSchedule:
     )
     def test_validate_names_the_config_key(self, fields, key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
-            pair_cfg(**fields).validate()
+            pair_cfg(**fields)
 
     def test_image_shape_must_hold_the_data_features(self):
         train, test = blob_pair(dims=6)
