@@ -13,8 +13,8 @@ import sys
 from .config import apply_overrides, build_setup, load_config
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .runio import (
-    COMPARISON_FIELDS,
     check_comparable,
+    check_out_dir,
     checked_data,
     comparison_rows,
     execute_run,
@@ -87,7 +87,9 @@ def _say(line: str) -> None:
 def cmd_train(args) -> int:
     values = apply_overrides(load_config(args.config), args.overrides)
     setup = build_setup(values)
-    _, manifest = execute_run(setup, args.out, checked_data([setup])[0])
+    inputs = checked_data([setup])[0]
+    check_out_dir(args.out)
+    _, manifest = execute_run(setup, args.out, inputs)
     _say(f"run complete: {args.out}")
     for name in manifest["artifacts"]:
         _say(f"  {name}")
@@ -103,13 +105,14 @@ def cmd_compare(args) -> int:
     if not args.allow_mismatch:
         check_comparable(setups)
     inputs = checked_data([setup for _, setup in setups])
+    check_out_dir(args.out)
     rows = []
     for i, ((label, setup), run_inputs) in enumerate(zip(setups, inputs)):
         run_dir = os.path.join(args.out, f"run_{i:02d}_{label}")
         result, _ = execute_run(setup, run_dir, run_inputs)
         rows.extend(comparison_rows(label, result))
     out_csv = os.path.join(args.out, "comparison.csv")
-    write_csv(out_csv, COMPARISON_FIELDS, rows)
+    write_csv(out_csv, list(rows[0]), rows)
     _say(f"wrote {out_csv} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -139,17 +142,9 @@ def cmd_timeline(args) -> int:
     numbered = read_numbered_jsonl(path)
     records = [rec for _, rec in numbered]
     summary = summarize_timeline(records, [f"{path}:{lineno}" for lineno, _ in numbered])
-    rows = [
-        {
-            "iteration": rec["iteration"],
-            "mode": rec["mode"],
-            "G": rec["G"],
-            "delta": rec["delta"],
-            "epsilon": rec["epsilon"],
-        }
-        for rec in records
-    ]
-    write_csv(args.out, ["iteration", "mode", "G", "delta", "epsilon"], rows)
+    columns = ["iteration", "mode", "G", "delta", "epsilon"]
+    rows = [{key: rec[key] for key in columns} for rec in records]
+    write_csv(args.out, columns, rows)
     _say(f"wrote {args.out} ({len(rows)} rows)")
     for key, value in summary.items():
         _say(f"  {key}: {value}")

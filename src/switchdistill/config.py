@@ -130,6 +130,12 @@ def load_config(path: str) -> dict[str, str]:
     return parse_config_text(text, source=path)
 
 
+def save_config(path: str, values: dict[str, str]) -> None:
+    """Write ``values`` as sorted ``key = value`` lines, which ``load_config`` reads back."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(f"{key} = {values[key]}\n" for key in sorted(values))
+
+
 def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, str]:
     """Apply ``key=value`` strings on top of file values."""
     out = dict(values)

@@ -44,7 +44,7 @@ class GapState:
     def __post_init__(self) -> None:
         if isinstance(self.iteration, bool) or not isinstance(self.iteration, int):
             raise DomainError(f"iteration must be an integer, got {self.iteration!r}")
-        for name in ("G", "r", "epsilon", "delta"):
+        for name in ("G", "r", "epsilon", "delta", "student_err", "teacher_err"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise DomainError(f"{name} must be a finite number, got {value!r}")
@@ -57,15 +57,27 @@ class GapState:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
 
-    def to_record(self) -> dict:
+    def to_record(self, mode: str, losses: dict) -> dict:
+        """One iteration's log record: the state with the ``mode`` applied, the pair's ``losses``, the l1 errors."""
+        if mode not in MODES:
+            raise DomainError(f"unknown mode {mode!r}")
         return {
             "iteration": self.iteration,
             "G": self.G,
             "r": self.r,
             "epsilon": self.epsilon,
             "delta": self.delta,
-            "mode": self.mode,
+            "mode": mode,
+            **losses,
+            "student_err_l1": self.student_err,
+            "teacher_err_l1": self.teacher_err,
         }
+
+    @classmethod
+    def from_record(cls, rec: dict) -> GapState:
+        """The state an iteration record holds; a missing field is a KeyError naming it, the l1 errors are optional."""
+        fields = {key: rec[key] for key in ("iteration", "G", "r", "epsilon", "delta", "mode")}
+        return cls(**fields, student_err=rec.get("student_err_l1", 0.0), teacher_err=rec.get("teacher_err_l1", 0.0))
 
 
 def mode_stats(modes) -> dict:

@@ -4,13 +4,14 @@ side-by-side strategy comparison."""
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 from datetime import datetime, timezone
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunSetup
+from .config import RunSetup, save_config
 from .datasets import Dataset
 from .errors import ConfigError, DomainError, FormatError
 from .gap import EXPERT, LEARNING, GapState, mode_stats
@@ -20,7 +21,6 @@ from .training import TEACHER, TOPOLOGY_TABLE, TrainResult, check_image_shape, r
 MANIFEST_NAME = "manifest.json"
 RUN_FORMAT = "switchdistill-run"
 RUN_VERSION = 1
-STATE_FIELDS = ("iteration", "G", "r", "epsilon", "delta", "mode")  # the GapState fields an iteration record holds
 
 
 def write_jsonl(path: str, records: list[dict]) -> None:
@@ -58,10 +58,6 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def _iteration_file(pair_name: str, single: bool) -> str:
-    return "iterations.jsonl" if single else f"iterations_{pair_name}.jsonl"
-
-
 def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[str, NetworkParams]]]:
     """Every setup's (train, test, initial) inputs, with every data-dependent check made before any of them trains.
 
@@ -94,6 +90,15 @@ def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[st
     return out
 
 
+def check_out_dir(path: str) -> None:
+    """Raise NotADirectoryError naming ``path`` if its nearest existing ancestor is not a directory; create nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResult, dict]:
     """Train per the setup on its ``checked_data`` inputs and write every artifact plus the manifest.
 
@@ -105,30 +110,21 @@ def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResu
     result = run_training(setup.train, train_ds, test_ds, initial=initial)
     os.makedirs(run_dir, exist_ok=True)
 
-    artifacts: list[str] = []
+    written: list[str] = []
 
-    config_path = os.path.join(run_dir, "config.cfg")
-    with open(config_path, "w", encoding="utf-8") as f:
-        for key in sorted(setup.resolved):
-            f.write(f"{key} = {setup.resolved[key]}\n")
-    artifacts.append("config.cfg")
+    def artifact(name: str) -> str:  # the path to write ``name`` to; the manifest lists every name asked for
+        written.append(name)
+        return os.path.join(run_dir, name)
 
-    single = setup.train.topology == "pair"
+    save_config(artifact("config.cfg"), setup.resolved)
     for pair_name, records in result.iteration_log.items():
-        name = _iteration_file(pair_name, single)
-        write_jsonl(os.path.join(run_dir, name), records)
-        artifacts.append(name)
-
-    epoch_fields = list(result.epoch_log[0].keys())
-    write_csv(os.path.join(run_dir, "epochs.csv"), epoch_fields, result.epoch_log)
-    artifacts.append("epochs.csv")
-
+        name = "iterations.jsonl" if setup.train.topology == "pair" else f"iterations_{pair_name}.jsonl"
+        write_jsonl(artifact(name), records)
+    write_csv(artifact("epochs.csv"), list(result.epoch_log[0]), result.epoch_log)
     for net_name, net in result.networks.items():
-        ckpt = f"{net_name}.npz"
-        save_checkpoint(os.path.join(run_dir, ckpt), net)
-        artifacts.append(ckpt)
+        save_checkpoint(artifact(f"{net_name}.npz"), net)
 
-    artifacts.append(MANIFEST_NAME)
+    manifest_path = artifact(MANIFEST_NAME)
     manifest = {
         "format": RUN_FORMAT,
         "version": RUN_VERSION,
@@ -141,9 +137,9 @@ def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResu
         },
         "started_at": started,
         "finished_at": datetime.now(timezone.utc).isoformat(),
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(written),
     }
-    with open(os.path.join(run_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
+    with open(manifest_path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return result, manifest
@@ -166,20 +162,8 @@ def _freeze_stats(result: TrainResult, net_name: str) -> tuple[int, float]:
     return stats["switch_count"], stats["expert_fraction"]
 
 
-COMPARISON_FIELDS = [
-    "config",
-    "strategy",
-    "topology",
-    "network",
-    "role",
-    "final_acc",
-    "best_acc",
-    "switch_count",
-    "expert_fraction",
-]
-
-
 def comparison_rows(label: str, result: TrainResult) -> list[dict]:
+    """One ``comparison.csv`` row per network; the keys, in order, are the file's header."""
     rows = []
     for net_name in result.config.network_names():
         switches, frozen = _freeze_stats(result, net_name)
@@ -226,7 +210,7 @@ def summarize_timeline(records: list[dict], locations: list[str] | None = None) 
         if not isinstance(rec, dict):
             raise FormatError(f"{at}not a JSON object")
         try:
-            state = GapState(**{key: rec[key] for key in STATE_FIELDS})
+            state = GapState.from_record(rec)
         except KeyError as exc:
             raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
         except DomainError as exc:

@@ -384,12 +384,7 @@ def run_training(
                     stepped.add(name)
 
             for p, state, mode, comp in zip(pair_names, states, modes, components):
-                logged = state if mode == state.mode else replace(state, mode=mode)
-                rec = logged.to_record()
-                rec.update({key: comp[r, q] for key, r, q in log_keys})
-                rec["student_err_l1"] = state.student_err
-                rec["teacher_err_l1"] = state.teacher_err
-                iter_log[p].append(rec)
+                iter_log[p].append(state.to_record(mode, {key: comp[r, q] for key, r, q in log_keys}))
 
             if inspect is not None:
                 inspect(

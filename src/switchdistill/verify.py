@@ -48,7 +48,7 @@ class GradCheckReport:
 
     @property
     def max_rel_error(self) -> float:
-        return max(c.max_rel_error for c in self.cases)
+        return float(np.max([c.max_rel_error for c in self.cases]))  # NaN if any case is NaN
 
     @property
     def ok(self) -> bool:
@@ -91,6 +91,10 @@ def logit_grad_check(
     """
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}")
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be a finite positive number, got {tolerance}")
     rng = np.random.default_rng(seed)
     table = objectives(strategy, alpha, beta)
     roles = [("pair", role) for role in (STUDENT, TEACHER) if table[role] is not None]
@@ -116,7 +120,7 @@ def logit_grad_check(
                 kls = [(w, kl_loss(np.broadcast_to(q, zs.shape), soften(zs, tau))) for w, q in terms]
                 return objective_value(w_ce, ce_loss(np.broadcast_to(y, zs.shape), soften(zs, 1.0)), kls, tau)
 
-            worst = max(worst, _max_rel_error(analytic, lambda d: value(z[name] + d * np.eye(k)), h))
+            worst = float(np.maximum(worst, _max_rel_error(analytic, lambda d: value(z[name] + d * np.eye(k)), h)))
         role = name if topology == "pair" else f"{topology} {name}"
         cases.append(GradCheckCase(f"{strategy:10s} {role:12s} tau={tau:<4g}", worst, worst <= tolerance))
     return GradCheckReport(cases=cases, tolerance=tolerance)
@@ -181,6 +185,6 @@ def param_grad_check(
         worst = 0.0
         for arr, grad in ((probe.weights[i], analytic.weights[i]), (probe.biases[i], analytic.biases[i])):
             flat = arr.reshape(-1)  # a view: the copy's arrays are contiguous
-            worst = max(worst, _max_rel_error(np.ravel(grad), lambda d: shifted(flat, d), h))
+            worst = float(np.maximum(worst, _max_rel_error(np.ravel(grad), lambda d: shifted(flat, d), h)))
         cases.append(GradCheckCase(f"layer {i}", worst, worst <= tolerance))
     return GradCheckReport(cases=cases, tolerance=tolerance)

@@ -476,6 +476,22 @@ class TestGradCheckCommand:
     def test_unknown_strategy_is_runtime_error(self):
         assert main(["grad-check", "--strategy", "atkd"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, argument",
+        [
+            (["--trials", "0"], "trials"),
+            (["--trials", "-3"], "trials"),
+            (["--tolerance", "inf"], "tolerance"),
+            (["--tolerance", "nan"], "tolerance"),
+            (["--tolerance", "0"], "tolerance"),
+        ],
+    )
+    def test_check_of_nothing_exits_2_naming_the_argument(self, capsys, args, argument):
+        assert main(["grad-check", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argument} must be") and captured.err.count("\n") == 1, captured.err
+
 
 def run_into_closed_pipe(args):
     """Run the CLI in a child process whose stdout is a pipe with its read end already closed."""
@@ -503,7 +519,7 @@ def test_closed_stdout_keeps_each_commands_exit_code(cfg_file, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "compare", "timeline"])
-def test_unwritable_output_path_exits_1_naming_it(cfg_file, tmp_path, capsys, command):
+def test_unwritable_output_path_exits_1_naming_it(cfg_file, tmp_path, capsys, monkeypatch, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = str(blocker / "out")  # a path under a regular file
@@ -514,11 +530,48 @@ def test_unwritable_output_path_exits_1_naming_it(cfg_file, tmp_path, capsys, co
         "compare": ["compare", "--configs", cfg_file, "--out", out],
         "timeline": ["timeline", "--run", run, "--out", str(tmp_path / "missing" / "t.csv")],
     }[command]
+    trained = []
+    monkeypatch.setattr(runio, "run_training", lambda *a, **k: trained.append(a) or training.run_training(*a, **k))
     capsys.readouterr()
     assert main(args) == 1
     err = capsys.readouterr().err
     path = args[-1] if command == "timeline" else out
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert trained == []  # a bad --out is refused before anything trains
+
+
+ITERATION_RECORD_HEAD = ["iteration", "G", "r", "epsilon", "delta", "mode"]
+L1_ERRORS = ["student_err_l1", "teacher_err_l1"]
+
+
+def test_artifact_byte_layout(cfg_file, tmp_path):
+    """Key and column order of the written artifacts, which reruns must reproduce byte for byte."""
+    cmp_dir, triple = tmp_path / "cmp", tmp_path / "triple"
+    assert main(["compare", "--configs", cfg_file, "--out", str(cmp_dir)]) == 0
+    pair_run = cmp_dir / "run_00_run"
+    assert list(read_jsonl(pair_run / "iterations.jsonl")[0]) == [
+        *ITERATION_RECORD_HEAD,
+        "student_ce", "teacher_ce", "student_kl", "teacher_kl", "student_loss", "teacher_loss",
+        *L1_ERRORS,
+    ]
+    with open(cmp_dir / "comparison.csv") as f:
+        assert f.readline() == (
+            "config,strategy,topology,network,role,final_acc,best_acc,switch_count,expert_fraction\n"
+        )
+    timeline = tmp_path / "timeline.csv"
+    assert main(["timeline", "--run", str(pair_run), "--out", str(timeline)]) == 0
+    with open(timeline) as f:
+        assert f.readline() == "iteration,mode,G,delta,epsilon\n"
+
+    assert main(train_args(cfg_file, triple, ["topology=1t2s"])) == 0
+    for name in ("iterations_teacher_student.jsonl", "iterations_teacher_student2.jsonl"):
+        assert list(read_jsonl(triple / name)[0]) == [
+            *ITERATION_RECORD_HEAD, "student_ce", "student_kl", "teacher_ce", "teacher_kl", *L1_ERRORS,
+        ]
+    assert run_dir_files(triple) == json.load(open(triple / "manifest.json"))["artifacts"] == [
+        "config.cfg", "epochs.csv", "iterations_teacher_student.jsonl", "iterations_teacher_student2.jsonl",
+        "manifest.json", "student.npz", "student2.npz", "teacher.npz",
+    ]
 
 
 class TestTimelineCommand:
@@ -607,6 +660,16 @@ class TestTimelineCommand:
         assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: record 2: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key", ["student_err_l1", "teacher_err_l1"])
+    def test_l1_error_that_is_not_a_number_exits_1_naming_the_record(self, tmp_path, capsys, key):
+        run = tmp_path / "run"
+        run.mkdir()
+        lines = [{**self.VALID, "iteration": 3, key: 0.5}, {**self.VALID, key: None}]
+        (run / "iterations.jsonl").write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 2: ") and key[:-3] in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("line", [json.dumps({**VALID, "iteration": 1}), "not json"], ids=["record", "json"])
     def test_bad_line_after_a_blank_one_is_named_by_its_line(self, tmp_path, capsys, line):

@@ -255,7 +255,31 @@ class TestBatchGapState:
 
     def test_record_field_order(self):
         state = GapState(iteration=2, G=0.5, r=0.3, epsilon=0.74, delta=0.4, mode=EXPERT)
-        assert list(state.to_record().keys()) == ["iteration", "G", "r", "epsilon", "delta", "mode"]
+        assert list(state.to_record(LEARNING, {"student_ce": 0.1, "teacher_ce": 0.2}).keys()) == [
+            "iteration", "G", "r", "epsilon", "delta", "mode", "student_ce", "teacher_ce",
+            "student_err_l1", "teacher_err_l1",
+        ]
+
+    def test_record_carries_the_applied_mode_and_round_trips(self):
+        state = GapState(2, G=0.5, r=0.3, epsilon=0.74, delta=0.4, mode=EXPERT, student_err=0.9, teacher_err=0.6)
+        rec = state.to_record(LEARNING, {"student_ce": 0.1})
+        assert rec["mode"] == LEARNING and rec["student_err_l1"] == 0.9 and rec["teacher_err_l1"] == 0.6
+        assert GapState.from_record(state.to_record(EXPERT, {})) == state
+        with pytest.raises(DomainError, match="unknown mode 'paused'"):
+            state.to_record("paused", {})
+
+    def test_from_record_names_the_first_missing_field_and_needs_no_l1_errors(self):
+        rec = {"iteration": 0, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": EXPERT}
+        assert GapState.from_record(rec) == GapState(0, 0.4, 0.3, 0.7, 0.5, EXPERT)
+        with pytest.raises(KeyError, match="'r'"):
+            GapState.from_record({key: value for key, value in rec.items() if key not in ("r", "delta")})
+
+    @pytest.mark.parametrize("key", ["student_err_l1", "teacher_err_l1"])
+    @pytest.mark.parametrize("value", [None, "0.5", float("nan")])
+    def test_from_record_refuses_an_l1_error_that_is_not_a_finite_number(self, key, value):
+        rec = {"iteration": 0, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": EXPERT, key: value}
+        with pytest.raises(DomainError, match=f"^{key[:-3]} must be a finite number"):
+            GapState.from_record(rec)
 
 
 class TestModeStats:

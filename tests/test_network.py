@@ -1,6 +1,7 @@
 """Engine tests: forward/backward correctness against straight-line and
 finite-difference oracles, optimizer updates against scalar hand traces."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -520,6 +521,21 @@ class TestGradCheck:
         report = param_grad_check(net, loss, grad, tolerance=1e-6)
         assert report.ok
         assert report.max_rel_error < 1e-6
+
+    def test_nan_gradient_entry_is_flagged(self):
+        net = NetworkParams((Dense(2, 2),), [np.array([[1.2, 0.0], [0.0, 0.7]])], [np.zeros(2)])
+
+        def loss(p):
+            return float(np.sum((p.weights[0] - 3.0) ** 2) + np.sum(p.biases[0] ** 2))
+
+        def grad(p):  # exact but for one weight entry
+            weights = 2.0 * (p.weights[0] - 3.0)
+            weights[0, 1] = np.nan
+            return NetworkParams(p.layers, [weights], [2.0 * p.biases[0]])
+
+        report = param_grad_check(net, loss, grad, tolerance=1e-6)
+        assert not report.ok and not report.cases[0].ok
+        assert math.isnan(report.cases[0].max_rel_error) and math.isnan(report.max_rel_error)
 
     @pytest.mark.parametrize("layers,in_dim", STACKS)
     def test_ce_through_softmax(self, layers, in_dim):

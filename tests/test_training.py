@@ -24,7 +24,6 @@ from switchdistill.losses import (
     teacher_logit_grad,
 )
 from switchdistill.network import Dense, NetworkParams, conv_mlp, forward, init_params, mlp
-from switchdistill.runio import STATE_FIELDS
 from switchdistill.training import (
     TOPOLOGY_TABLE,
     NetworkDef,
@@ -638,7 +637,7 @@ class TestConfigAndSchedule:
         train, test = blob_pair()
         res = train_pair(pair_cfg(epochs=1), train, test)
         records = res.iteration_log["teacher_student"]
-        states = [GapState(**{key: rec[key] for key in STATE_FIELDS}) for rec in records]
+        states = [GapState.from_record(rec) for rec in records]
         assert [state.iteration for state in states] == list(range(len(records)))
 
 

@@ -1,6 +1,8 @@
 """The logit-gradient verification harness must pass on honest gradients and
 fail loudly on corrupted ones."""
 
+import math
+
 import pytest
 
 from switchdistill.errors import DomainError
@@ -31,6 +33,28 @@ class TestLogitGradCheck:
     def test_unknown_strategy(self):
         with pytest.raises(DomainError):
             logit_grad_check("fitnet")
+
+    def test_nan_gradient_is_not_ok(self):
+        report = logit_grad_check("dml", alpha=float("nan"), trials=5)
+        student, teacher = report.cases
+        assert not student.ok and math.isnan(student.max_rel_error)
+        assert teacher.ok  # beta weighs the teacher's KL term
+        assert not report.ok and math.isnan(report.max_rel_error)
+
+    @pytest.mark.parametrize(
+        "kwargs, argument",
+        [
+            ({"trials": 0}, "trials"),
+            ({"trials": -3}, "trials"),
+            ({"tolerance": math.inf}, "tolerance"),
+            ({"tolerance": math.nan}, "tolerance"),
+            ({"tolerance": 0.0}, "tolerance"),
+            ({"tolerance": -1e-4}, "tolerance"),
+        ],
+    )
+    def test_refuses_a_check_that_checks_nothing(self, kwargs, argument):
+        with pytest.raises(DomainError, match=f"^{argument} must be"):
+            logit_grad_check("switch", **kwargs)
 
     def test_full_sweep_covers_all_roles(self):
         report = full_grad_check(trials=5)
