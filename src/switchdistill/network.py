@@ -199,12 +199,17 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int | np.random.Generator) 
 
 @lru_cache(maxsize=64)
 def _patch_index(c: int, h: int, w: int, kernel: int, stride: int) -> np.ndarray:
-    """(oh * ow, C * k * k) flat indices into one (C, H, W) sample: the patch matrix of its pixel numbers."""
+    """(C * k * k, oh * ow) flat indices into one (C, H, W) sample: the patch matrix of its pixel numbers.
+
+    Row e is patch entry (c, di, dj), column p output position (i, j), both row-major, so a conv layer's
+    forward pass is one ``W @ cols`` that writes its channel-major activation in place. Conv weights keep
+    their ``(out_c, C, k, k)`` shape and checkpoint format.
+    """
     pixels = np.arange(c * h * w).reshape(c, h, w)
     windows = np.lib.stride_tricks.sliding_window_view(pixels, (kernel, kernel), axis=(1, 2))
     windows = windows[:, ::stride, ::stride]  # (C, oh, ow, k, k)
     oh, ow = windows.shape[1:3]
-    idx = windows.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kernel * kernel)
+    idx = windows.transpose(0, 3, 4, 1, 2).reshape(c * kernel * kernel, oh * ow)
     idx.flags.writeable = False  # shared by every caller through the cache
     return idx
 
@@ -221,7 +226,7 @@ def _buffer(workspace: dict | None, key, shape: tuple[int, ...], dtype=np.float6
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(B, C, H, W) -> (B, oh * ow, C * k * k) patch matrix, one gather through a cached index.
+    """(B, C, H, W) -> (B, C * k * k, oh * ow) patch matrix, one gather through _patch_index's cached index.
 
     The index is in range, so ``mode="clip"`` changes nothing but lets ``np.take`` fill ``out`` with no temporary.
     """
@@ -230,7 +235,11 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = No
 
 
 def _col2im(dcols: np.ndarray, shape: tuple[int, int, int, int], kernel: int, stride: int, out=None) -> np.ndarray:
-    """The adjoint of _im2col: a scatter-add through its index, each pixel summed in ascending output position."""
+    """The adjoint of _im2col: (B, C * k * k, oh * ow) -> (B, C, H, W), a scatter-add through the same index.
+
+    Each pixel is summed in the index's order, patch entry then output position. A contiguous ``dcols``
+    (backward's ``W.T @ dmap``) is read in place, one row per sample.
+    """
     b, c, h, w = shape
     idx = _patch_index(c, h, w, kernel, stride).ravel()
     dx = np.empty((b, c * h * w)) if out is None else out
@@ -261,12 +270,11 @@ def forward_with_cache(net: NetworkParams, batch: np.ndarray, workspace: dict | 
             oc, positions = spec.out_channels, spec.out_height * spec.out_width
             patch = spec.in_channels * spec.kernel * spec.kernel
             image = x.reshape(rows, spec.in_channels, spec.height, spec.width)
-            cols = _buffer(workspace, ("cols", i), (rows, positions, patch))
+            cols = _buffer(workspace, ("cols", i), (rows, patch, positions))
             inputs = _im2col(image, spec.kernel, spec.stride, out=cols)
-            pre = _buffer(workspace, "gemm", (rows * positions, oc))  # backward's dcols reuses it
-            np.matmul(inputs.reshape(rows * positions, patch), net.weights[i].reshape(oc, patch).T, out=pre)
-            np.add(pre, net.biases[i], out=pre)
-            np.copyto(act.reshape(rows, oc, positions), pre.reshape(rows, positions, oc).transpose(0, 2, 1))
+            fmap = act.reshape(rows, oc, positions)
+            np.matmul(net.weights[i].reshape(oc, patch), inputs, out=fmap)
+            np.add(fmap, net.biases[i].reshape(oc, 1), out=fmap)
         if spec.activation == "relu":
             np.maximum(act, 0.0, out=act)
         cache.append((inputs, act))
@@ -306,14 +314,17 @@ def backward_from_cache(
             if i > 0:
                 d = np.matmul(d, net.weights[i].T, out=_buffer(workspace, ("dx", i % 2), (batch, spec.in_features)))
         else:
-            dmap = d.reshape(batch, spec.out_channels, -1)
-            dw = np.tensordot(dmap, inputs, axes=([0, 2], [0, 1]))
-            np.divide(dw.reshape(spec.weight_shape()), batch, out=out.weights[i])
+            oc, patch = spec.out_channels, inputs.shape[1]
+            dmap = d.reshape(batch, oc, -1)
+            # per-sample dmap @ cols.T, then summed over the batch; dcols below reuses the buffer
+            dws = np.matmul(dmap, inputs.transpose(0, 2, 1), out=_buffer(workspace, "gemm", (batch, oc, patch)))
+            np.sum(dws.reshape(batch, *spec.weight_shape()), axis=0, out=out.weights[i])
+            np.divide(out.weights[i], batch, out=out.weights[i])
             np.mean(dmap.sum(axis=2), axis=0, out=out.biases[i])
             if i > 0:
-                dcols = _buffer(workspace, "gemm", (batch, inputs.shape[2], dmap.shape[2]))
-                np.matmul(net.weights[i].reshape(spec.out_channels, -1).T, dmap, out=dcols)
+                dcols = _buffer(workspace, "gemm", inputs.shape)
+                np.matmul(net.weights[i].reshape(oc, patch).T, dmap, out=dcols)
                 dx = _buffer(workspace, ("dx", i % 2), (batch, spec.in_features))
                 shape = (batch, spec.in_channels, spec.height, spec.width)
-                d = _col2im(dcols.transpose(0, 2, 1), shape, spec.kernel, spec.stride, out=dx).reshape(dx.shape)
+                d = _col2im(dcols, shape, spec.kernel, spec.stride, out=dx).reshape(dx.shape)
     return out

@@ -58,6 +58,12 @@ class GradCheckReport:
         return [f"{'ok' if c.ok else 'FAIL':4s} {c.name} max_rel_err={c.max_rel_error:.3e}" for c in self.cases]
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Refuse a tolerance that would pass every gradient, or none."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be a finite positive number, got {tolerance}")
+
+
 def _max_rel_error(analytic: np.ndarray, shifted: Callable[[float], np.ndarray], h: float) -> float:
     """Worst relative error of ``analytic`` against five-point central differences.
 
@@ -93,8 +99,7 @@ def logit_grad_check(
         raise DomainError(f"unknown strategy {strategy!r}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be a finite positive number, got {tolerance}")
+    _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     table = objectives(strategy, alpha, beta)
     roles = [("pair", role) for role in (STUDENT, TEACHER) if table[role] is not None]
@@ -159,8 +164,9 @@ def param_grad_check(
     memory stays linear in the parameter count. The stencil reaches 2h, and
     a ReLU pre-activation within that reach makes the loss non-smooth, hence
     a smaller default step than the logit check's. A non-finite loss raises
-    NumericError.
+    NumericError; a non-finite or non-positive ``tolerance`` raises DomainError.
     """
+    _check_tolerance(tolerance)
 
     def loss(params: NetworkParams) -> float:
         value = float(loss_fn(params))

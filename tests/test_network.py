@@ -158,33 +158,36 @@ class TestBackward:
 
 
 def loop_im2col(x, kernel, stride):
-    """Patch matrix built one output position at a time: the oracle for _im2col."""
+    """Patch matrix built one output position (column) at a time: the oracle for _im2col."""
     b, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
-    cols = np.empty((b, oh * ow, c * kernel * kernel), dtype=x.dtype)
+    cols = np.empty((b, c * kernel * kernel, oh * ow), dtype=x.dtype)
     p = 0
     for i in range(oh):
         for j in range(ow):
             patch = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
-            cols[:, p] = patch.reshape(b, -1)
+            cols[:, :, p] = patch.reshape(b, -1)
             p += 1
     return cols
 
 
 def loop_col2im(dcols, shape, kernel, stride):
-    """Scatter-add one output position at a time: the oracle for _col2im."""
+    """Scatter-add one patch entry, then one output position, at a time: the oracle for _col2im."""
     b, c, h, w = shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
     dx = np.zeros(shape, dtype=dcols.dtype)
-    p = 0
-    for i in range(oh):
-        for j in range(ow):
-            dx[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel] += dcols[
-                :, p
-            ].reshape(b, c, kernel, kernel)
-            p += 1
+    e = 0
+    for ch in range(c):
+        for di in range(kernel):
+            for dj in range(kernel):
+                p = 0
+                for i in range(oh):
+                    for j in range(ow):
+                        dx[:, ch, i * stride + di, j * stride + dj] += dcols[:, e, p]
+                        p += 1
+                e += 1
     return dx
 
 
@@ -222,10 +225,10 @@ class TestConvEngine:
     def test_col2im_matches_loop_oracle_bit_for_bit(self, geometry):
         b, c, h, w, k, s = geometry
         positions = ((h - k) // s + 1) * ((w - k) // s + 1)
-        dcols = np.random.default_rng(1).normal(size=(b, positions, c * k * k))
+        dcols = np.random.default_rng(1).normal(size=(b, c * k * k, positions))
         dcols[0] = -0.0  # ReLU backward yields -0.0; each pixel's sum starts from +0.0
-        dcols[-1, ::2] = -0.0
-        dcols[-1, 1::2, ::2] = 0.0
+        dcols[-1, :, ::2] = -0.0
+        dcols[-1, ::2, 1::2] = 0.0
         out = _col2im(dcols, (b, c, h, w), k, s)
         assert out.tobytes() == loop_col2im(dcols, (b, c, h, w), k, s).tobytes()
 
@@ -261,25 +264,36 @@ def forward_backward(net, x, g, workspace):
     return logits.copy(), backward_from_cache(net, cache, g, workspace=workspace)
 
 
+def warm_conv_teacher_step():
+    """The tracemalloc peak of the conv-cifar teacher's warm forward + backward at batch 32, and that step's cache."""
+    net = init_params(conv_mlp((3, 32, 32), (16, 32), (64,), 10), 0)
+    rng = np.random.default_rng(1)
+    x, g = rng.uniform(size=(32, 3 * 32 * 32)), rng.normal(size=(32, 10))
+    workspace, buf = {}, net.zeros_like()
+    forward_backward(net, x, g, workspace)  # warm-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _, cache = forward_with_cache(net, x, workspace)
+        backward_from_cache(net, cache, g, out=buf, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, cache
+
+
 class TestWorkspace:
     def test_warm_conv_step_allocates_less_than_one_patch_matrix(self):
-        # the conv-cifar teacher at batch 32: its patch matrices are the largest arrays of a step
-        net = init_params(conv_mlp((3, 32, 32), (16, 32), (64,), 10), 0)
-        rng = np.random.default_rng(1)
-        x, g = rng.uniform(size=(32, 3 * 32 * 32)), rng.normal(size=(32, 10))
-        workspace, buf = {}, net.zeros_like()
-        _, cache = forward_with_cache(net, x, workspace)
+        # its patch matrices are the largest arrays of a step
+        peak, cache = warm_conv_teacher_step()
         largest = max(inputs.nbytes for inputs, _ in cache[:2])
-        backward_from_cache(net, cache, g, out=buf, workspace=workspace)  # warm-up
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            _, cache = forward_with_cache(net, x, workspace)
-            backward_from_cache(net, cache, g, out=buf, workspace=workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert peak < largest, (peak, largest)
+
+    def test_warm_conv_step_allocates_less_than_one_output_map(self):
+        # the (B, out_c, oh * ow) map of the first layer, which a tensordot weight gradient would copy
+        # into a transposed array
+        peak, _ = warm_conv_teacher_step()
+        assert peak < 32 * 16 * 225 * 8, peak
 
     @pytest.mark.parametrize("layers,in_dim", STACKS)
     def test_short_batch_after_a_full_one_matches_a_fresh_workspace(self, layers, in_dim):

@@ -3,10 +3,12 @@ fail loudly on corrupted ones."""
 
 import math
 
+import numpy as np
 import pytest
 
 from switchdistill.errors import DomainError
-from switchdistill.verify import full_grad_check, logit_grad_check
+from switchdistill.network import Dense, NetworkParams
+from switchdistill.verify import full_grad_check, logit_grad_check, param_grad_check
 
 
 class TestLogitGradCheck:
@@ -63,3 +65,20 @@ class TestLogitGradCheck:
         assert ("kdcl", "teacher") in strategies
         assert ("switch", "student") in strategies
         assert report.ok
+
+
+class TestParamGradCheck:
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1e-4])
+    def test_refuses_a_tolerance_that_checks_nothing(self, tolerance):
+        # a weight gradient 2.5 times too large: max_rel_error 0.6, "ok" under an infinite tolerance
+        net = NetworkParams((Dense(2, 2),), [np.array([[1.2, 0.0], [0.0, 0.7]])], [np.zeros(2)])
+
+        def loss(p):
+            return float(np.sum((p.weights[0] - 3.0) ** 2) + np.sum(p.biases[0] ** 2))
+
+        def grad(p):
+            return NetworkParams(p.layers, [5.0 * (p.weights[0] - 3.0)], [2.0 * p.biases[0]])
+
+        assert not param_grad_check(net, loss, grad).ok
+        with pytest.raises(DomainError, match="^tolerance must be"):
+            param_grad_check(net, loss, grad, tolerance=tolerance)
