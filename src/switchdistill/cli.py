@@ -1,7 +1,7 @@
 """Command-line interface: train, compare, grad-check, and timeline.
 
-Exit codes: 0 success, 1 configuration, input or output-path failure,
-2 runtime or numeric failure.
+Exit codes: 0 success, 1 configuration, input or output-path failure (a
+``--out`` that is not missing or empty is refused before training), 2 runtime or numeric failure.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from .config import apply_overrides, build_setup, load_config
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .runio import (
     check_comparable,
-    check_out_dir,
     checked_data,
     comparison_rows,
     execute_run,
+    new_directory,
     read_numbered_jsonl,
     summarize_timeline,
     write_csv,
@@ -88,7 +88,6 @@ def cmd_train(args) -> int:
     values = apply_overrides(load_config(args.config), args.overrides)
     setup = build_setup(values)
     inputs = checked_data([setup])[0]
-    check_out_dir(args.out)
     _, manifest = execute_run(setup, args.out, inputs)
     _say(f"run complete: {args.out}")
     for name in manifest["artifacts"]:
@@ -105,15 +104,13 @@ def cmd_compare(args) -> int:
     if not args.allow_mismatch:
         check_comparable(setups)
     inputs = checked_data([setup for _, setup in setups])
-    check_out_dir(args.out)
     rows = []
-    for i, ((label, setup), run_inputs) in enumerate(zip(setups, inputs)):
-        run_dir = os.path.join(args.out, f"run_{i:02d}_{label}")
-        result, _ = execute_run(setup, run_dir, run_inputs)
-        rows.extend(comparison_rows(label, result))
-    out_csv = os.path.join(args.out, "comparison.csv")
-    write_csv(out_csv, list(rows[0]), rows)
-    _say(f"wrote {out_csv} ({len(rows)} rows)")
+    with new_directory(args.out) as out:
+        for i, ((label, setup), run_inputs) in enumerate(zip(setups, inputs)):
+            result, _ = execute_run(setup, os.path.join(out, f"run_{i:02d}_{label}"), run_inputs)
+            rows.extend(comparison_rows(label, result))
+        write_csv(os.path.join(out, "comparison.csv"), list(rows[0]), rows)
+    _say(f"wrote {os.path.join(args.out, 'comparison.csv')} ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -161,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
         "timeline": cmd_timeline,
     }
     try:
+        if getattr(args, "out", None) == "":
+            raise ConfigError("--out: empty path")
         return handlers[args.command](args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

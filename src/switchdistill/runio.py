@@ -1,5 +1,5 @@
-"""Run directories: JSONL/CSV artifact writers, the run manifest, and the
-side-by-side strategy comparison."""
+"""Run directories, each built beside its path by ``new_directory`` so that a failure leaves nothing behind:
+JSONL/CSV artifact writers, the run manifest, and the side-by-side strategy comparison."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ import csv
 import errno
 import json
 import os
+import shutil
+from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 
 from . import __version__
@@ -90,58 +93,58 @@ def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[st
     return out
 
 
-def check_out_dir(path: str) -> None:
-    """Raise NotADirectoryError naming ``path`` if its nearest existing ancestor is not a directory; create nothing."""
-    probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+@contextmanager
+def new_directory(path: str) -> Iterator[str]:
+    """Yield a fresh directory beside ``path``; rename it onto ``path`` when the block succeeds, remove it when it raises.
+
+    ``path`` must be missing or an empty directory, or an OSError naming it is
+    raised before the block runs. Missing parents of ``path`` are made first.
+    """
+    with suppress(FileNotFoundError):
+        if os.listdir(path):
+            raise OSError(errno.ENOTEMPTY, os.strerror(errno.ENOTEMPTY), path)
+    parent, name = os.path.split(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    staged = os.path.join(parent, f".{name}.{os.getpid()}")
+    os.mkdir(staged)  # not tempfile.mkdtemp, whose 0700 would ignore the umask
+    try:
+        yield staged
+        os.replace(staged, path)
+    except BaseException:
+        shutil.rmtree(staged, ignore_errors=True)
+        raise
 
 
 def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResult, dict]:
-    """Train per the setup on its ``checked_data`` inputs and write every artifact plus the manifest.
-
-    The run directory is created only once training has finished, so a run
-    that fails before then leaves nothing behind.
-    """
+    """Train per the setup on its ``checked_data`` inputs and write every artifact plus the manifest into ``run_dir``."""
     started = datetime.now(timezone.utc).isoformat()
     train_ds, test_ds, initial = inputs
-    result = run_training(setup.train, train_ds, test_ds, initial=initial)
-    os.makedirs(run_dir, exist_ok=True)
-
-    written: list[str] = []
-
-    def artifact(name: str) -> str:  # the path to write ``name`` to; the manifest lists every name asked for
-        written.append(name)
-        return os.path.join(run_dir, name)
-
-    save_config(artifact("config.cfg"), setup.resolved)
-    for pair_name, records in result.iteration_log.items():
-        name = "iterations.jsonl" if setup.train.topology == "pair" else f"iterations_{pair_name}.jsonl"
-        write_jsonl(artifact(name), records)
-    write_csv(artifact("epochs.csv"), list(result.epoch_log[0]), result.epoch_log)
-    for net_name, net in result.networks.items():
-        save_checkpoint(artifact(f"{net_name}.npz"), net)
-
-    manifest_path = artifact(MANIFEST_NAME)
-    manifest = {
-        "format": RUN_FORMAT,
-        "version": RUN_VERSION,
-        "code_version": __version__,
-        "config": dict(setup.resolved),
-        "dataset": {
-            "train": train_ds.describe(),
-            "test": test_ds.describe(),
-            "source": setup.data.describe(),
-        },
-        "started_at": started,
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "artifacts": sorted(written),
-    }
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    with new_directory(run_dir) as staged:
+        result = run_training(setup.train, train_ds, test_ds, initial=initial)
+        save_config(os.path.join(staged, "config.cfg"), setup.resolved)
+        for pair_name, records in result.iteration_log.items():
+            name = "iterations.jsonl" if setup.train.topology == "pair" else f"iterations_{pair_name}.jsonl"
+            write_jsonl(os.path.join(staged, name), records)
+        write_csv(os.path.join(staged, "epochs.csv"), list(result.epoch_log[0]), result.epoch_log)
+        for net_name, net in result.networks.items():
+            save_checkpoint(os.path.join(staged, f"{net_name}.npz"), net)
+        manifest = {
+            "format": RUN_FORMAT,
+            "version": RUN_VERSION,
+            "code_version": __version__,
+            "config": dict(setup.resolved),
+            "dataset": {
+                "train": train_ds.describe(),
+                "test": test_ds.describe(),
+                "source": setup.data.describe(),
+            },
+            "started_at": started,
+            "finished_at": datetime.now(timezone.utc).isoformat(),
+            "artifacts": sorted(os.listdir(staged) + [MANIFEST_NAME]),
+        }
+        with open(os.path.join(staged, MANIFEST_NAME), "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
     return result, manifest
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, manifests, determinism, exit codes."""
 
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -138,6 +139,13 @@ def run_dir_files(run_dir):
     return sorted(os.listdir(run_dir))
 
 
+def watch_training(monkeypatch):
+    """The argument tuples of every `runio.run_training` call from now on."""
+    trained = []
+    monkeypatch.setattr(runio, "run_training", lambda *a, **k: trained.append(a) or training.run_training(*a, **k))
+    return trained
+
+
 class TestTrainCommand:
     def test_artifacts_exist_and_parse(self, cfg_file, tmp_path):
         out = str(tmp_path / "run")
@@ -263,10 +271,13 @@ class TestTrainCommand:
 
     def test_missing_data_file_leaves_no_run_dir(self, tmp_path, capsys):
         out = tmp_path / "r"
-        assert main(["train", "--config", missing_data_cfg(tmp_path), "--out", str(out)]) == 1
+        args = ["train", "--config", missing_data_cfg(tmp_path), "--out", str(out)]
+        entries = run_dir_files(tmp_path)
+        assert main(args) == 1
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "gone.bin" in err, err
         assert not os.path.exists(out)
+        assert run_dir_files(tmp_path) == entries
 
     def test_optimizer_init_failure_leaves_no_run_dir(self, cfg_file, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -274,8 +285,10 @@ class TestTrainCommand:
 
         monkeypatch.setattr(training, "init_optimizer", refuse)
         out = tmp_path / "r"
+        entries = run_dir_files(tmp_path)
         assert main(["train", "--config", cfg_file, "--out", str(out)]) == 2
         assert not os.path.exists(out)
+        assert run_dir_files(tmp_path) == entries  # nor the directory it was being built in
 
     def test_unreadable_teacher_checkpoint_leaves_no_run_dir(self, cfg_file, tmp_path, capsys):
         ckpt = tmp_path / "teacher.npz"
@@ -283,9 +296,11 @@ class TestTrainCommand:
         out = tmp_path / "r"
         args = ["train", "--config", cfg_file, "--out", str(out)]
         args += ["--set", "strategy=kd-offline", "--set", f"kd.teacher_checkpoint={ckpt}"]
+        entries = run_dir_files(tmp_path)
         assert main(args) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert not os.path.exists(out)
+        assert run_dir_files(tmp_path) == entries
 
     @pytest.mark.parametrize(
         "layers,widths",
@@ -385,8 +400,11 @@ class TestCompareCommand:
 
     def test_failed_first_run_leaves_no_output_dir(self, tmp_path):
         out = tmp_path / "cmp"
-        assert main(["compare", "--configs", missing_data_cfg(tmp_path), "--out", str(out)]) == 1
+        args = ["compare", "--configs", missing_data_cfg(tmp_path), "--out", str(out)]
+        entries = run_dir_files(tmp_path)
+        assert main(args) == 1
         assert not os.path.exists(out)
+        assert run_dir_files(tmp_path) == entries
 
     def test_mismatched_seed_rejected(self, tmp_path):
         a = tmp_path / "a.cfg"
@@ -461,6 +479,78 @@ class TestCompareCommand:
         assert not os.path.exists(out)
 
 
+class TestOutDirectory:
+    """`--out` is taken only when missing or empty, and a failed command leaves its parent as it was."""
+
+    @staticmethod
+    def args(command, cfg_file, out):
+        if command == "train":
+            return ["train", "--config", cfg_file, "--out", str(out)]
+        return ["compare", "--configs", cfg_file, cfg_file, "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_used_run_dir_is_refused_before_training(self, cfg_file, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "r"
+        assert main(train_args(cfg_file, out, ["topology=1t2s"])) == 0
+        files = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert len(files) == 8
+        entries = run_dir_files(tmp_path)
+        trained = watch_training(monkeypatch)
+        capsys.readouterr()
+        assert main(self.args(command, cfg_file, out)) == 1  # a pair run, whose files differ from the triple's
+        assert capsys.readouterr().err == f"error: {out}: Directory not empty\n"
+        assert trained == []
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == files
+        assert run_dir_files(tmp_path) == entries
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_empty_dir_is_accepted(self, cfg_file, tmp_path, command):
+        out = tmp_path / "r"
+        out.mkdir()
+        assert main(self.args(command, cfg_file, out)) == 0
+        if command == "train":
+            assert run_dir_files(out) == json.load(open(out / "manifest.json"))["artifacts"]
+        else:
+            assert run_dir_files(out) == ["comparison.csv", "run_00_run", "run_01_run"]
+        assert run_dir_files(tmp_path) == ["r", "run.cfg"]
+
+    def test_dirs_get_the_mode_a_plain_mkdir_gives(self, cfg_file, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(self.args("compare", cfg_file, out)) == 0
+        os.mkdir(tmp_path / "plain")
+        modes = {os.stat(path).st_mode for path in (tmp_path / "plain", out, out / "run_00_run", out / "run_01_run")}
+        assert len(modes) == 1, [oct(m) for m in modes]
+
+    @pytest.mark.parametrize("command", ["train", "compare", "timeline"])
+    def test_empty_out_path_exits_1_before_training(self, cfg_file, tmp_path, capsys, monkeypatch, command):
+        trained = watch_training(monkeypatch)
+        if command == "timeline":
+            args = ["timeline", "--run", str(tmp_path), "--out", ""]
+        else:
+            args = self.args(command, cfg_file, "")
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: --out: empty path\n"
+        assert trained == []
+
+    @pytest.mark.parametrize("command,failing_save", [("train", 2), ("compare", 4)])
+    def test_failed_write_leaves_parent_as_it_was(self, cfg_file, tmp_path, capsys, monkeypatch, command, failing_save):
+        saved = []
+
+        def save_until_disk_full(path, net):
+            if len(saved) + 1 == failing_save:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            save_checkpoint(path, net)
+            saved.append(path)
+
+        monkeypatch.setattr(runio, "save_checkpoint", save_until_disk_full)
+        entries = run_dir_files(tmp_path)
+        assert main(self.args(command, cfg_file, tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(": No space left on device\n") and err.count("\n") == 1, err
+        assert len(saved) == failing_save - 1  # artifacts existed when the write failed
+        assert run_dir_files(tmp_path) == entries
+
+
 class TestGradCheckCommand:
     def test_default_passes(self, capsys):
         assert main(["grad-check", "--strategy", "switch", "--trials", "20"]) == 0
@@ -530,8 +620,7 @@ def test_unwritable_output_path_exits_1_naming_it(cfg_file, tmp_path, capsys, mo
         "compare": ["compare", "--configs", cfg_file, "--out", out],
         "timeline": ["timeline", "--run", run, "--out", str(tmp_path / "missing" / "t.csv")],
     }[command]
-    trained = []
-    monkeypatch.setattr(runio, "run_training", lambda *a, **k: trained.append(a) or training.run_training(*a, **k))
+    trained = watch_training(monkeypatch)
     capsys.readouterr()
     assert main(args) == 1
     err = capsys.readouterr().err
