@@ -10,16 +10,16 @@ import argparse
 import os
 import sys
 
-from .config import apply_overrides, build_setup, load_config
+from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, load_config, recorded_default
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
+from .gap import mode_stats
 from .runio import (
     check_comparable,
     checked_data,
     comparison_rows,
     execute_run,
     new_directory,
-    read_numbered_jsonl,
-    summarize_timeline,
+    read_iteration_log,
     write_csv,
 )
 from .verify import logit_grad_check
@@ -84,31 +84,57 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
+def _setups(paths: list[str], overrides: list[str]) -> list[tuple[str, RunSetup]]:
+    """(label, setup) per config file, each from the file's values under ``overrides``.
+
+    Every key the user sets must be read: a key a file sets by that file's
+    run, unless the file holds the value a snapshot records for it anyway (so
+    a run's ``config.cfg`` runs again), and a ``--set`` key by at least one run.
+    """
+    set_keys = [item.partition("=")[0].strip() for item in overrides]
+    ignored: dict[str, str] = {}  # --set key -> the choice of a run that does not read it
+    read: set[str] = set()  # --set keys that some run reads
+    setups = []
+    for path in paths:
+        values = load_config(path)
+        setup = build_setup(apply_overrides(values, overrides))
+        for key, value in values.items():
+            if value != recorded_default(values, key) and (choice := ignoring_choice(setup, key)):
+                raise ConfigError(f"{key}: not read when {choice}, but set in {path}")
+        for key in set_keys:
+            if choice := ignoring_choice(setup, key):
+                ignored.setdefault(key, choice)
+            else:
+                read.add(key)
+        setups.append((os.path.splitext(os.path.basename(path))[0], setup))
+    for key, choice in ignored.items():
+        if key not in read:
+            raise ConfigError(f"{key}: not read when {choice}, but set by --set")
+    return setups
+
+
 def cmd_train(args) -> int:
-    values = apply_overrides(load_config(args.config), args.overrides)
-    setup = build_setup(values)
+    [(_, setup)] = _setups([args.config], args.overrides)
     inputs = checked_data([setup])[0]
-    _, manifest = execute_run(setup, args.out, inputs)
+    with new_directory(args.out) as out:
+        execute_run(setup, out, inputs)
     _say(f"run complete: {args.out}")
-    for name in manifest["artifacts"]:
+    for name in sorted(os.listdir(args.out)):
         _say(f"  {name}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    setups = []
-    for path in args.configs:
-        values = apply_overrides(load_config(path), args.overrides)
-        label = os.path.splitext(os.path.basename(path))[0]
-        setups.append((label, build_setup(values)))
+    setups = _setups(args.configs, args.overrides)
     if not args.allow_mismatch:
         check_comparable(setups)
     inputs = checked_data([setup for _, setup in setups])
     rows = []
     with new_directory(args.out) as out:
         for i, ((label, setup), run_inputs) in enumerate(zip(setups, inputs)):
-            result, _ = execute_run(setup, os.path.join(out, f"run_{i:02d}_{label}"), run_inputs)
-            rows.extend(comparison_rows(label, result))
+            run_dir = os.path.join(out, f"run_{i:02d}_{label}")
+            os.mkdir(run_dir)
+            rows.extend(comparison_rows(label, execute_run(setup, run_dir, run_inputs)))
         write_csv(os.path.join(out, "comparison.csv"), list(rows[0]), rows)
     _say(f"wrote {os.path.join(args.out, 'comparison.csv')} ({len(rows)} rows)")
     return EXIT_OK
@@ -135,15 +161,12 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    path = os.path.join(args.run, args.file)
-    numbered = read_numbered_jsonl(path)
-    records = [rec for _, rec in numbered]
-    summary = summarize_timeline(records, [f"{path}:{lineno}" for lineno, _ in numbered])
+    records = read_iteration_log(os.path.join(args.run, args.file))
     columns = ["iteration", "mode", "G", "delta", "epsilon"]
     rows = [{key: rec[key] for key in columns} for rec in records]
     write_csv(args.out, columns, rows)
     _say(f"wrote {args.out} ({len(rows)} rows)")
-    for key, value in summary.items():
+    for key, value in mode_stats(rec["mode"] for rec in records).items():
         _say(f"  {key}: {value}")
     return EXIT_OK
 

@@ -4,7 +4,9 @@ The format is a plain text file: one ``key = value`` per line, ``#`` starts a
 comment line, and list values are comma-separated. ``KEYS`` is the one table
 of keys: each row holds the key's parser, which also checks its range, and
 its CLI default. Every config error is raised by ``build_setup``, before any
-data is loaded or any network trained, with a message that names the key.
+data is loaded or any network trained, with a message that names the key;
+``ignoring_choice`` tells the CLI which set keys a run would not read, and
+``recorded_default`` which values a snapshot holds for keys left unset.
 """
 
 from __future__ import annotations
@@ -274,3 +276,23 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     if train.strategy == "kd-offline" and not checkpoint:
         raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
     return RunSetup(train, DataSettings(kind=kind, options=options), resolved, checkpoint)
+
+
+def ignoring_choice(setup: RunSetup, key: str) -> str | None:
+    """The choice, as ``key=value``, under which the run ``setup`` never reads ``key``; None when it reads it.
+
+    A data kind reads only its own ``DATA_KEYS``, a pair has no third network,
+    and only kd-offline reads ``kd.*``.
+    """
+    if key.startswith("data.") and any(key[5:] in names for names in DATA_KEYS.values()):
+        return None if key[5:] in DATA_KEYS[setup.data.kind] else f"data.kind={setup.data.kind}"
+    if key.startswith("third.") and setup.train.third is None:
+        return f"topology={setup.train.topology}"
+    if key.startswith("kd.") and setup.train.strategy != "kd-offline":
+        return f"strategy={setup.train.strategy}"
+    return None
+
+
+def recorded_default(values: dict[str, str], key: str) -> str | None:
+    """What the snapshot of a run from ``values`` records for ``key`` when ``values`` leaves it unset."""
+    return values.get("seed", KEYS["seed"][1]) if key == "data.seed" else KEYS[key][1]

@@ -32,25 +32,40 @@ def write_jsonl(path: str, records: list[dict]) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def read_numbered_jsonl(path: str) -> list[tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of a JSONL file."""
+def read_iteration_log(path: str) -> list[dict]:
+    """The records of an iteration JSONL file, each checked as it is read.
+
+    Every non-blank line must be JSON holding a valid ``GapState``, and
+    iterations must strictly increase. The first line in the file that fails
+    is a FormatError naming its ``path:line``, and a bad record also its number.
+    """
     if not os.path.exists(path):
         raise FormatError(f"missing JSONL file {path}")
-    records = []
+    records: list[dict] = []
+    last = -1
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append((lineno, json.loads(line)))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: corrupt JSONL line ({exc.msg})") from exc
+            at = f"record {len(records) + 1}: {path}:{lineno}: "
+            if not isinstance(rec, dict):
+                raise FormatError(f"{at}not a JSON object")
+            try:
+                state = GapState.from_record(rec)
+            except KeyError as exc:
+                raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
+            except DomainError as exc:
+                raise FormatError(f"{at}{exc}") from exc
+            if state.iteration <= last:
+                raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
+            last = state.iteration
+            records.append(rec)
     return records
-
-
-def read_jsonl(path: str) -> list[dict]:
-    return [rec for _, rec in read_numbered_jsonl(path)]
 
 
 def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -99,6 +114,8 @@ def new_directory(path: str) -> Iterator[str]:
 
     ``path`` must be missing or an empty directory, or an OSError naming it is
     raised before the block runs. Missing parents of ``path`` are made first.
+    An OSError from the block that names a file in the removed directory is
+    re-raised naming that file under ``path``.
     """
     with suppress(FileNotFoundError):
         if os.listdir(path):
@@ -110,42 +127,45 @@ def new_directory(path: str) -> Iterator[str]:
     try:
         yield staged
         os.replace(staged, path)
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(staged, ignore_errors=True)
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):
+            inside = os.path.relpath(os.path.abspath(exc.filename), staged)
+            if inside.split(os.sep)[0] != os.pardir:  # the staged directory or a file in it
+                exc.filename = os.path.normpath(os.path.join(path, inside))
         raise
 
 
-def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> tuple[TrainResult, dict]:
+def execute_run(setup: RunSetup, run_dir: str, inputs: tuple) -> TrainResult:
     """Train per the setup on its ``checked_data`` inputs and write every artifact plus the manifest into ``run_dir``."""
     started = datetime.now(timezone.utc).isoformat()
     train_ds, test_ds, initial = inputs
-    with new_directory(run_dir) as staged:
-        result = run_training(setup.train, train_ds, test_ds, initial=initial)
-        save_config(os.path.join(staged, "config.cfg"), setup.resolved)
-        for pair_name, records in result.iteration_log.items():
-            name = "iterations.jsonl" if setup.train.topology == "pair" else f"iterations_{pair_name}.jsonl"
-            write_jsonl(os.path.join(staged, name), records)
-        write_csv(os.path.join(staged, "epochs.csv"), list(result.epoch_log[0]), result.epoch_log)
-        for net_name, net in result.networks.items():
-            save_checkpoint(os.path.join(staged, f"{net_name}.npz"), net)
-        manifest = {
-            "format": RUN_FORMAT,
-            "version": RUN_VERSION,
-            "code_version": __version__,
-            "config": dict(setup.resolved),
-            "dataset": {
-                "train": train_ds.describe(),
-                "test": test_ds.describe(),
-                "source": setup.data.describe(),
-            },
-            "started_at": started,
-            "finished_at": datetime.now(timezone.utc).isoformat(),
-            "artifacts": sorted(os.listdir(staged) + [MANIFEST_NAME]),
-        }
-        with open(os.path.join(staged, MANIFEST_NAME), "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-    return result, manifest
+    result = run_training(setup.train, train_ds, test_ds, initial=initial)
+    save_config(os.path.join(run_dir, "config.cfg"), setup.resolved)
+    for pair_name, records in result.iteration_log.items():
+        name = "iterations.jsonl" if setup.train.topology == "pair" else f"iterations_{pair_name}.jsonl"
+        write_jsonl(os.path.join(run_dir, name), records)
+    write_csv(os.path.join(run_dir, "epochs.csv"), list(result.epoch_log[0]), result.epoch_log)
+    for net_name, net in result.networks.items():
+        save_checkpoint(os.path.join(run_dir, f"{net_name}.npz"), net)
+    manifest = {
+        "format": RUN_FORMAT,
+        "version": RUN_VERSION,
+        "code_version": __version__,
+        "config": dict(setup.resolved),
+        "dataset": {
+            "train": train_ds.describe(),
+            "test": test_ds.describe(),
+            "source": setup.data.describe(),
+        },
+        "started_at": started,
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "artifacts": sorted(os.listdir(run_dir) + [MANIFEST_NAME]),
+    }
+    with open(os.path.join(run_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return result
 
 
 def _freeze_stats(result: TrainResult, net_name: str) -> tuple[int, float]:
@@ -198,27 +218,3 @@ def check_comparable(setups: list[tuple[str, RunSetup]]) -> None:
                 f"configs {baseline[0]} and {label} differ in dataset or seed; "
                 "pass --allow-mismatch to compare anyway"
             )
-
-
-def summarize_timeline(records: list[dict], locations: list[str] | None = None) -> dict:
-    """Check iteration JSONL records, then count their modes and switches.
-
-    Every record must hold a valid ``GapState`` and iterations must strictly
-    increase; a record that does not is a FormatError naming its number and,
-    when ``locations`` are given, its location (``path:line``).
-    """
-    last = -1
-    for i, rec in enumerate(records, start=1):
-        at = f"record {i}: " + (f"{locations[i - 1]}: " if locations else "")
-        if not isinstance(rec, dict):
-            raise FormatError(f"{at}not a JSON object")
-        try:
-            state = GapState.from_record(rec)
-        except KeyError as exc:
-            raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
-        except DomainError as exc:
-            raise FormatError(f"{at}{exc}") from exc
-        if state.iteration <= last:
-            raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
-        last = state.iteration
-    return mode_stats(rec["mode"] for rec in records)

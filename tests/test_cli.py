@@ -14,10 +14,10 @@ from test_datasets import write_idx_pair
 from switchdistill import cli, config, runio, training
 from switchdistill.checkpoint import save_checkpoint
 from switchdistill.cli import main
-from switchdistill.config import KEYS
+from switchdistill.config import DATA_KEYS, KEYS, build_setup, ignoring_choice, load_config
 from switchdistill.errors import DomainError
 from switchdistill.network import init_params, mlp
-from switchdistill.runio import read_jsonl
+from switchdistill.runio import read_iteration_log
 
 SMALL_CFG = """
 strategy = switch
@@ -155,7 +155,7 @@ class TestTrainCommand:
             assert os.path.exists(os.path.join(out, name)), name
         # and vice versa: nothing on disk that the manifest does not list
         assert run_dir_files(out) == manifest["artifacts"]
-        records = read_jsonl(os.path.join(out, "iterations.jsonl"))
+        records = read_iteration_log(os.path.join(out, "iterations.jsonl"))
         assert {"iteration", "G", "r", "epsilon", "delta", "mode"} <= set(records[0])
         with open(os.path.join(out, "epochs.csv")) as f:
             rows = list(csv.DictReader(f))
@@ -479,6 +479,113 @@ class TestCompareCommand:
         assert not os.path.exists(out)
 
 
+BLOB_ONLY_CFG = "data.kind = blobs\n"
+CIFAR_ONLY_CFG = "data.kind = cifar\ndata.classes = 10\ndata.train_path = a.bin\ndata.test_path = b.bin\n"
+IDX_ONLY_CFG = "data.kind = idx\n" + "".join(
+    f"data.{name} = {name}.idx\n" for name in ("train_images", "train_labels", "test_images", "test_labels")
+)
+# key -> (a config whose run never reads the key, the choice in it that ignores the key)
+UNREAD_BY = {
+    "data.classes": (IDX_ONLY_CFG, "data.kind=idx"),
+    **{f"data.{name}": (CIFAR_ONLY_CFG, "data.kind=cifar") for name in ("dims", "per_class", "spread", "seed")},
+    **{
+        f"data.{name}": (BLOB_ONLY_CFG, "data.kind=blobs")
+        for name in ("train_images", "train_labels", "test_images", "test_labels", "train_path", "test_path")
+    },
+    **{key: (SMALL_CFG, "topology=pair") for key in KEYS if key.startswith("third.")},
+    "kd.teacher_checkpoint": (SMALL_CFG, "strategy=switch"),
+}
+# each data kind, a triple and kd-offline: every choice in the three tables that changes which keys are read
+EVERY_CHOICE = [
+    {},
+    {"topology": "1t2s"},
+    {"strategy": "kd-offline", "kd.teacher_checkpoint": "teacher.npz"},
+    {"data.kind": "cifar", "data.classes": "10", "data.train_path": "a.bin", "data.test_path": "b.bin"},
+    {"data.kind": "idx", **{f"data.{name}": "x" for name in DATA_KEYS["idx"]}},
+]
+
+
+class TestUnreadKeys:
+    """Every key the user sets is read by the run, or refused before anything is read or trained."""
+
+    @pytest.mark.parametrize("key", sorted(KEYS))
+    def test_each_key_is_read_or_refused(self, tmp_path, capsys, monkeypatch, key):
+        if key not in UNREAD_BY:  # every choice reads it
+            assert all(ignoring_choice(build_setup(values), key) is None for values in EVERY_CHOICE)
+            return
+        text, choice = UNREAD_BY[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        value = {"data.seed": "3", "third.conv": "4"}.get(key, KEYS[key][1] or "x")
+        monkeypatch.setattr(config.DataSettings, "build", lambda self: pytest.fail("data was read"))
+        out = tmp_path / "r"
+        assert main(train_args(str(cfg), out, [f"{key}={value}"])) == 1
+        assert capsys.readouterr().err == f"error: {key}: not read when {choice}, but set by --set\n"
+        assert not os.path.exists(out)
+
+    def test_ignored_keys_of_a_reference_config_exit_1(self, tmp_path, capsys):
+        reference = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "reference_switch.cfg")
+        overrides = ["data.train_path=/nope", "third.lr=5", "kd.teacher_checkpoint=/nope.npz"]
+        out = tmp_path / "r"
+        assert main(train_args(reference, out, overrides)) == 1
+        assert capsys.readouterr().err == "error: data.train_path: not read when data.kind=blobs, but set by --set\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_key_its_file_sets_must_be_read_by_that_run(self, tmp_path, capsys, command):
+        pair, triple = tmp_path / "pair.cfg", tmp_path / "triple.cfg"
+        pair.write_text(SMALL_CFG + "third.hidden = 8\n")
+        triple.write_text(SMALL_CFG + "topology = 1t2s\nthird.hidden = 8\n")
+        out = tmp_path / "r"
+        configs = [str(pair)] if command == "train" else [str(triple), str(pair)]
+        args = ["train", "--config", configs[0]] if command == "train" else ["compare", "--configs", *configs]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: third.hidden: not read when topology=pair, but set in {pair}\n"
+        assert not os.path.exists(out)
+
+    def test_file_key_its_run_ignores_is_refused_though_set_gives_it(self, tmp_path, capsys):
+        pair, triple = tmp_path / "pair.cfg", tmp_path / "triple.cfg"
+        pair.write_text(SMALL_CFG + "third.hidden = 8\n")
+        triple.write_text(SMALL_CFG + "topology = 1t2s\n")
+        out = tmp_path / "cmp"
+        args = ["compare", "--configs", str(triple), str(pair), "--out", str(out), "--set", "third.hidden=5"]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: third.hidden: not read when topology=pair, but set in {pair}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["blobs", "cifar", "idx"])
+    def test_run_snapshot_trains_again(self, tmp_path, kind):
+        """A snapshot lists the defaults of keys its run ignores, e.g. `third.*` of a pair; they are taken."""
+        if kind == "blobs":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(SMALL_CFG)
+        elif kind == "cifar":
+            cfg = cifar_cfg(tmp_path, 8, 4)
+        else:
+            cfg = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2] * 2)[0]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(train_args(str(cfg), first, [])) == 0
+        snapshot = first / "config.cfg"
+        assert "third.hidden" in load_config(str(snapshot))
+        assert main(train_args(str(snapshot), again, [])) == 0
+        for name in ("config.cfg", "student.npz", "iterations.jsonl"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_compare_takes_a_set_key_that_one_config_reads(self, tmp_path, capsys):
+        pair, triple = tmp_path / "pair.cfg", tmp_path / "triple.cfg"
+        pair.write_text(SMALL_CFG)
+        triple.write_text(SMALL_CFG + "topology = 1t2s\n")
+        out = tmp_path / "cmp"
+        args = ["compare", "--configs", str(pair), str(triple), "--out", str(out), "--set", "third.hidden=5"]
+        assert main(args) == 0
+        assert load_config(str(out / "run_01_triple" / "config.cfg"))["third.hidden"] == "5"
+        capsys.readouterr()
+        assert main(args[:-1] + ["kd.teacher_checkpoint=x.npz"]) == 1  # no config reads it
+        assert capsys.readouterr().err == (
+            "error: kd.teacher_checkpoint: not read when strategy=switch, but set by --set\n"
+        )
+
+
 class TestOutDirectory:
     """`--out` is taken only when missing or empty, and a failed command leaves its parent as it was."""
 
@@ -532,8 +639,14 @@ class TestOutDirectory:
         assert capsys.readouterr().err == "error: --out: empty path\n"
         assert trained == []
 
-    @pytest.mark.parametrize("command,failing_save", [("train", 2), ("compare", 4)])
-    def test_failed_write_leaves_parent_as_it_was(self, cfg_file, tmp_path, capsys, monkeypatch, command, failing_save):
+    @pytest.mark.parametrize(
+        "command,failing_save,named",
+        [("train", 2, "teacher.npz"), ("compare", 4, "run_01_run/teacher.npz")],
+        ids=["train-2", "compare-4"],
+    )
+    def test_failed_write_leaves_parent_as_it_was(
+        self, cfg_file, tmp_path, capsys, monkeypatch, command, failing_save, named
+    ):
         saved = []
 
         def save_until_disk_full(path, net):
@@ -544,11 +657,20 @@ class TestOutDirectory:
 
         monkeypatch.setattr(runio, "save_checkpoint", save_until_disk_full)
         entries = run_dir_files(tmp_path)
-        assert main(self.args(command, cfg_file, tmp_path / "r")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(": No space left on device\n") and err.count("\n") == 1, err
+        out = tmp_path / "r"
+        assert main(self.args(command, cfg_file, out)) == 1
+        # the file is named where it would have been, not inside the removed staging directory
+        assert capsys.readouterr().err == f"error: {out / named}: No space left on device\n"
         assert len(saved) == failing_save - 1  # artifacts existed when the write failed
         assert run_dir_files(tmp_path) == entries
+
+    def test_compare_renames_one_directory_into_place(self, cfg_file, tmp_path, monkeypatch):
+        replaced = []
+        monkeypatch.setattr(os, "replace", lambda src, dst: replaced.append(dst) or os.rename(src, dst))
+        out = tmp_path / "cmp"
+        assert main(self.args("compare", cfg_file, out)) == 0
+        assert replaced == [str(out)]  # the run directories are made inside it, not staged on their own
+        assert run_dir_files(out) == ["comparison.csv", "run_00_run", "run_01_run"]
 
 
 class TestGradCheckCommand:
@@ -638,7 +760,7 @@ def test_artifact_byte_layout(cfg_file, tmp_path):
     cmp_dir, triple = tmp_path / "cmp", tmp_path / "triple"
     assert main(["compare", "--configs", cfg_file, "--out", str(cmp_dir)]) == 0
     pair_run = cmp_dir / "run_00_run"
-    assert list(read_jsonl(pair_run / "iterations.jsonl")[0]) == [
+    assert list(read_iteration_log(pair_run / "iterations.jsonl")[0]) == [
         *ITERATION_RECORD_HEAD,
         "student_ce", "teacher_ce", "student_kl", "teacher_kl", "student_loss", "teacher_loss",
         *L1_ERRORS,
@@ -654,7 +776,7 @@ def test_artifact_byte_layout(cfg_file, tmp_path):
 
     assert main(train_args(cfg_file, triple, ["topology=1t2s"])) == 0
     for name in ("iterations_teacher_student.jsonl", "iterations_teacher_student2.jsonl"):
-        assert list(read_jsonl(triple / name)[0]) == [
+        assert list(read_iteration_log(triple / name)[0]) == [
             *ITERATION_RECORD_HEAD, "student_ce", "student_kl", "teacher_ce", "teacher_kl", *L1_ERRORS,
         ]
     assert run_dir_files(triple) == json.load(open(triple / "manifest.json"))["artifacts"] == [
@@ -701,7 +823,7 @@ class TestTimelineCommand:
         out = str(tmp_path / "tl.csv")
         assert main(["timeline", "--run", run, "--out", out]) == 0
         printed = capsys.readouterr().out
-        records = read_jsonl(os.path.join(run, "iterations.jsonl"))
+        records = read_iteration_log(os.path.join(run, "iterations.jsonl"))
         switches = sum(
             1 for a, b in zip(records, records[1:]) if a["mode"] != b["mode"]
         )
@@ -773,7 +895,9 @@ class TestTimelineCommand:
     def test_corrupt_line_reports_line_number(self, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()
-        (run / "iterations.jsonl").write_text('{"iteration": 0}\nnot json\n')
+        path = run / "iterations.jsonl"
+        path.write_text('{"iteration": 0}\nnot json\n')
         assert main(["timeline", "--run", str(run), "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
-        assert "iterations.jsonl:2" in err or "record 1" in err
+        # the first bad line in file order is reported: here the record on line 1, not the corrupt line 2
+        assert err.startswith(f"error: record 1: {path}:1: missing field ") and err.count("\n") == 1, err

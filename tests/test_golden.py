@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from switchdistill.cli import main
-from switchdistill.runio import read_jsonl
+from switchdistill.runio import read_iteration_log
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "runs.json")
 
@@ -39,7 +39,6 @@ student.hidden = 6
 student.lr = 0.002
 teacher.hidden = 64,64
 teacher.lr = 0.05
-third.hidden = 8
 """
 
 CONV_CFG = """\
@@ -72,8 +71,8 @@ RUNS = {
     "switch": ["strategy=switch"],
     "kdcl": ["strategy=kdcl"],
     "kd-offline": ["strategy=kd-offline", "alpha=0.5", "tau=2"],  # teacher: the vanilla run's
-    "1t2s": ["topology=1t2s", "third.lr=0.002"],
-    "2t1s": ["topology=2t1s", "third.lr=0.05"],
+    "1t2s": ["topology=1t2s", "third.hidden=8", "third.lr=0.002"],
+    "2t1s": ["topology=2t1s", "third.hidden=8", "third.lr=0.05"],
     "conv": [],
 }
 
@@ -97,7 +96,7 @@ def run_outputs(run_dir):
     for name in sorted(os.listdir(run_dir)):
         path = os.path.join(run_dir, name)
         if name.startswith("iterations"):
-            out["iterations"][name] = read_jsonl(path)
+            out["iterations"][name] = read_iteration_log(path)
         elif name == "epochs.csv":
             with open(path, newline="") as f:
                 out["epochs"] = list(csv.DictReader(f))

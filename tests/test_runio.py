@@ -1,4 +1,6 @@
-"""Run-artifact helpers: JSONL error reporting, comparison-row semantics."""
+"""Run-artifact helpers: the iteration-log reader's checks, comparison-row semantics."""
+
+import json
 
 import pytest
 
@@ -9,8 +11,8 @@ from switchdistill.gap import mode_stats
 from switchdistill.runio import (
     check_comparable,
     comparison_rows,
-    read_jsonl,
-    summarize_timeline,
+    read_iteration_log,
+    write_jsonl,
 )
 from switchdistill.training import train_pair
 
@@ -40,31 +42,57 @@ def small_result():
     return small_run()
 
 
+VALID = {"iteration": 0, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": "learning"}
+
+
 class TestJsonl:
+    """`read_iteration_log` reads JSONL: a missing file or a corrupt line is named."""
+
     def test_corrupt_line_number(self, tmp_path):
         path = tmp_path / "x.jsonl"
-        path.write_text('{"a": 1}\n{"b":\n')
-        with pytest.raises(FormatError, match=r"x\.jsonl:2"):
-            read_jsonl(str(path))
+        path.write_text(json.dumps(VALID) + '\n{"b":\n')
+        with pytest.raises(FormatError, match=r"x\.jsonl:2: corrupt JSONL line"):
+            read_iteration_log(str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="missing"):
-            read_jsonl(str(tmp_path / "nope.jsonl"))
+            read_iteration_log(str(tmp_path / "nope.jsonl"))
+
+    @pytest.mark.parametrize(
+        "lines,first",
+        [
+            (['{"iteration": 0}', "not json"], r"^record 1: .*x\.jsonl:1: missing field"),
+            ([json.dumps(VALID), "not json", json.dumps(VALID)], r"x\.jsonl:2: corrupt JSONL line"),
+        ],
+        ids=["bad-record-first", "corrupt-line-first"],
+    )
+    def test_first_bad_line_in_file_order_is_reported(self, tmp_path, lines, first):
+        path = tmp_path / "x.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(FormatError, match=first):
+            read_iteration_log(str(path))
 
 
 class TestSummarizeTimeline:
-    def test_recount_matches_timeline(self, small_result):
+    """What `timeline` summarizes: the records `read_iteration_log` checks, counted by `mode_stats`."""
+
+    def test_recount_matches_timeline(self, small_result, tmp_path):
         _, result = small_result
-        records = result.iteration_log["teacher_student"]
-        summary = summarize_timeline(records)
+        path = str(tmp_path / "iterations.jsonl")
+        write_jsonl(path, result.iteration_log["teacher_student"])
+        records = read_iteration_log(path)
+        assert records == result.iteration_log["teacher_student"]
+        summary = mode_stats(r["mode"] for r in records)
         modes = [r["mode"] for r in records]
         assert summary["iterations"] == len(records)
         assert summary["switch_count"] == sum(1 for a, b in zip(modes, modes[1:]) if a != b)
         assert summary["expert_fraction"] == modes.count("expert") / len(modes)
 
-    def test_missing_field_reported(self):
-        with pytest.raises(FormatError, match="record 1"):
-            summarize_timeline([{"iteration": 0}])
+    def test_missing_field_reported(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"iteration": 0}\n')
+        with pytest.raises(FormatError, match=r"^record 1: .*x\.jsonl:1: missing field"):
+            read_iteration_log(str(path))
 
 
 class TestComparisonRows:
