@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, load_config, recorded_default
+from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, load_config
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .gap import mode_stats
 from .runio import (
@@ -88,28 +88,21 @@ def _setups(paths: list[str], overrides: list[str]) -> list[tuple[str, RunSetup]
     """(label, setup) per config file, each from the file's values under ``overrides``.
 
     Every key the user sets must be read: a key a file sets by that file's
-    run, unless the file holds the value a snapshot records for it anyway (so
-    a run's ``config.cfg`` runs again), and a ``--set`` key by at least one run.
+    run, and a ``--set`` key by at least one run.
     """
-    set_keys = [item.partition("=")[0].strip() for item in overrides]
-    ignored: dict[str, str] = {}  # --set key -> the choice of a run that does not read it
-    read: set[str] = set()  # --set keys that some run reads
     setups = []
     for path in paths:
         values = load_config(path)
         setup = build_setup(apply_overrides(values, overrides))
-        for key, value in values.items():
-            if value != recorded_default(values, key) and (choice := ignoring_choice(setup, key)):
+        for key in values:
+            if choice := ignoring_choice(setup.resolved, key):
                 raise ConfigError(f"{key}: not read when {choice}, but set in {path}")
-        for key in set_keys:
-            if choice := ignoring_choice(setup, key):
-                ignored.setdefault(key, choice)
-            else:
-                read.add(key)
         setups.append((os.path.splitext(os.path.basename(path))[0], setup))
-    for key, choice in ignored.items():
-        if key not in read:
-            raise ConfigError(f"{key}: not read when {choice}, but set by --set")
+    for item in overrides:
+        key = item.partition("=")[0].strip()
+        choices = [ignoring_choice(setup.resolved, key) for _, setup in setups]
+        if all(choices):
+            raise ConfigError(f"{key}: not read when {choices[0]}, but set by --set")
     return setups
 
 

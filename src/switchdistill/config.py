@@ -5,8 +5,7 @@ comment line, and list values are comma-separated. ``KEYS`` is the one table
 of keys: each row holds the key's parser, which also checks its range, and
 its CLI default. Every config error is raised by ``build_setup``, before any
 data is loaded or any network trained, with a message that names the key;
-``ignoring_choice`` tells the CLI which set keys a run would not read, and
-``recorded_default`` which values a snapshot holds for keys left unset.
+``ignoring_choice`` is the one rule for which keys a run reads.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .errors import ConfigError, FormatError
-from .training import TOPOLOGY_TABLE, NetworkDef, OptimizerSettings, TrainConfig
+from .training import NetworkDef, OptimizerSettings, TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -197,7 +196,6 @@ class RunSetup:
     train: TrainConfig
     data: DataSettings
     resolved: dict[str, str]
-    teacher_checkpoint: str | None = None  # the pre-trained teacher of a kd-offline run
 
 
 def _network_def(typed: dict, prefix: str) -> NetworkDef:
@@ -217,12 +215,17 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     """Typed TrainConfig + DataSettings from raw config values, with every config check.
 
     ``resolved``, the snapshot a run records, is ``values`` over the CLI
-    defaults, with ``data.seed`` set to ``seed`` when it is not given.
+    defaults, with ``data.seed`` set to ``seed`` when it is not given, less
+    every key ``ignoring_choice`` rules out: exactly the keys the run reads.
     """
     resolved = {key: default for key, (_, default) in KEYS.items() if default is not None}
     resolved.update(values)
+    kind = resolved["data.kind"]
+    if kind not in DATA_KEYS:
+        raise ConfigError(f"data.kind: unknown value {kind!r}, expected one of {tuple(DATA_KEYS)}")
     seed_inherited = "data.seed" not in resolved
     resolved.setdefault("data.seed", resolved["seed"])
+    resolved = {key: raw for key, raw in resolved.items() if not ignoring_choice(resolved, key)}
     typed: dict[str, object] = {}
     for key, raw in resolved.items():
         try:
@@ -234,9 +237,6 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
 
-    kind = typed["data.kind"]
-    if kind not in DATA_KEYS:
-        raise ConfigError(f"data.kind: unknown value {kind!r}, expected one of {tuple(DATA_KEYS)}")
     for name in DATA_KEYS[kind]:
         if f"data.{name}" not in typed:
             raise ConfigError(f"data.{name}: required for data.kind={kind}")
@@ -252,12 +252,9 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         missing = " and ".join(key for key in IMAGE_KEYS if key not in typed)
         raise ConfigError(f"{given[0]}: requires {missing} as well; the image shape takes all three keys or none")
 
-    topology = typed["topology"]
-    names = TOPOLOGY_TABLE[topology].names if topology in TOPOLOGY_TABLE else ()
-    third = _network_def(typed, "third") if len(names) > 2 else None
     train = TrainConfig(
         strategy=typed["strategy"],
-        topology=topology,
+        topology=typed["topology"],
         alpha=typed["alpha"],
         beta=typed["beta"],
         tau=typed["tau"],
@@ -266,33 +263,29 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         seed=typed["seed"],
         student=_network_def(typed, "student"),
         teacher=_network_def(typed, "teacher"),
-        third=third,
+        third=_network_def(typed, "third") if "third.hidden" in typed else None,
         lr_milestones=typed["lr.milestones"],
         lr_gamma=typed["lr.gamma"],
         image_shape=tuple(typed[key] for key in IMAGE_KEYS) if given else None,
         augment=typed["data.augment"],
     )
-    checkpoint = typed.get("kd.teacher_checkpoint")
-    if train.strategy == "kd-offline" and not checkpoint:
+    if train.strategy == "kd-offline" and not typed.get("kd.teacher_checkpoint"):
         raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
-    return RunSetup(train, DataSettings(kind=kind, options=options), resolved, checkpoint)
+    return RunSetup(train, DataSettings(kind=kind, options=options), resolved)
 
 
-def ignoring_choice(setup: RunSetup, key: str) -> str | None:
-    """The choice, as ``key=value``, under which the run ``setup`` never reads ``key``; None when it reads it.
+def ignoring_choice(resolved: dict[str, str], key: str) -> str | None:
+    """The choice, as ``key=value``, under which a run from ``resolved`` never reads ``key``; None when it reads it.
 
-    A data kind reads only its own ``DATA_KEYS``, a pair has no third network,
-    and only kd-offline reads ``kd.*``.
+    A data kind reads only its own ``DATA_KEYS``, a pair reads no ``third.*``
+    key, and only kd-offline reads ``kd.*``.
     """
     if key.startswith("data.") and any(key[5:] in names for names in DATA_KEYS.values()):
-        return None if key[5:] in DATA_KEYS[setup.data.kind] else f"data.kind={setup.data.kind}"
-    if key.startswith("third.") and setup.train.third is None:
-        return f"topology={setup.train.topology}"
-    if key.startswith("kd.") and setup.train.strategy != "kd-offline":
-        return f"strategy={setup.train.strategy}"
+        kind = resolved["data.kind"]
+        return None if key[5:] in DATA_KEYS[kind] else f"data.kind={kind}"
+    if key.startswith("third.") and resolved["topology"] == "pair":
+        return "topology=pair"
+    if key.startswith("kd.") and resolved["strategy"] != "kd-offline":
+        return f"strategy={resolved['strategy']}"
     return None
 
-
-def recorded_default(values: dict[str, str], key: str) -> str | None:
-    """What the snapshot of a run from ``values`` records for ``key`` when ``values`` leaves it unset."""
-    return values.get("seed", KEYS["seed"][1]) if key == "data.seed" else KEYS[key][1]

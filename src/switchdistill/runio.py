@@ -37,7 +37,8 @@ def read_iteration_log(path: str) -> list[dict]:
 
     Every non-blank line must be JSON holding a valid ``GapState``, and
     iterations must strictly increase. The first line in the file that fails
-    is a FormatError naming its ``path:line``, and a bad record also its number.
+    is a FormatError naming its ``path:line``, and a bad record also its number;
+    a file with no records is a FormatError naming it.
     """
     if not os.path.exists(path):
         raise FormatError(f"missing JSONL file {path}")
@@ -65,6 +66,8 @@ def read_iteration_log(path: str) -> list[dict]:
                 raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
             last = state.iteration
             records.append(rec)
+    if not records:
+        raise FormatError(f"{path}: no iteration records")
     return records
 
 
@@ -94,7 +97,7 @@ def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[st
         check_image_shape(setup.train, train.dims)
         initial = {}
         if setup.train.strategy == "kd-offline":
-            path = setup.teacher_checkpoint
+            path = setup.resolved["kd.teacher_checkpoint"]
             if path not in teachers:
                 teachers[path] = load_checkpoint(path)
             net = initial[TEACHER] = teachers[path]

@@ -89,7 +89,7 @@ InspectHook = Callable[[int, dict], None]
 @dataclass(frozen=True)
 class OptimizerSettings:
     kind: str = "adam"
-    lr: float = 0.01
+    lr: float = 0.005
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
@@ -98,7 +98,7 @@ class OptimizerSettings:
 class NetworkDef:
     """Architecture and optimizer knobs for one network."""
 
-    hidden: tuple[int, ...] = (32,)
+    hidden: tuple[int, ...] = (16,)
     conv_channels: tuple[int, ...] = ()
     opt: OptimizerSettings = OptimizerSettings()
 
@@ -115,8 +115,8 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
-    student: NetworkDef = NetworkDef(hidden=(16,))
-    teacher: NetworkDef = NetworkDef(hidden=(64, 64))
+    student: NetworkDef = NetworkDef()
+    teacher: NetworkDef = NetworkDef(hidden=(256, 256), opt=OptimizerSettings(lr=0.02))
     third: NetworkDef | None = None  # second student (1t2s) or second teacher (2t1s)
     lr_milestones: tuple[int, ...] = ()
     lr_gamma: float = 0.1

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import glob
 import json
 import os
 import subprocess
@@ -262,6 +263,15 @@ class TestTrainCommand:
         assert main(train_args(cfg_file, out, ["seed=-1", "data.seed=2"])) == 0
         assert json.load(open(out / "manifest.json"))["config"]["seed"] == "-1"
 
+    @pytest.mark.parametrize("kind", ["cifar", "idx"])
+    def test_negative_run_seed_trains_on_image_data(self, tmp_path, kind):
+        """Image data reads no `data.seed`, so the run's seed is not checked as one."""
+        cfg = cifar_cfg(tmp_path, 8, 4) if kind == "cifar" else idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2] * 2)[0]
+        out = tmp_path / "r"
+        assert main(train_args(cfg, out, ["seed=-1"])) == 0
+        snapshot = load_config(str(out / "config.cfg"))
+        assert snapshot["seed"] == "-1" and "data.seed" not in snapshot
+
     def test_unknown_optimizer_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["train", "--config", cfg_file, "--out", str(out), "--set", "student.optimizer=nadam"]) == 1
@@ -504,6 +514,8 @@ EVERY_CHOICE = [
     {"data.kind": "idx", **{f"data.{name}": "x" for name in DATA_KEYS["idx"]}},
 ]
 
+REFERENCE_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "*.cfg")))
+
 
 class TestUnreadKeys:
     """Every key the user sets is read by the run, or refused before anything is read or trained."""
@@ -511,7 +523,7 @@ class TestUnreadKeys:
     @pytest.mark.parametrize("key", sorted(KEYS))
     def test_each_key_is_read_or_refused(self, tmp_path, capsys, monkeypatch, key):
         if key not in UNREAD_BY:  # every choice reads it
-            assert all(ignoring_choice(build_setup(values), key) is None for values in EVERY_CHOICE)
+            assert all(ignoring_choice(build_setup(values).resolved, key) is None for values in EVERY_CHOICE)
             return
         text, choice = UNREAD_BY[key]
         cfg = tmp_path / "run.cfg"
@@ -522,6 +534,17 @@ class TestUnreadKeys:
         assert main(train_args(str(cfg), out, [f"{key}={value}"])) == 1
         assert capsys.readouterr().err == f"error: {key}: not read when {choice}, but set by --set\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "values",
+        EVERY_CHOICE + [load_config(path) for path in REFERENCE_CONFIGS],
+        ids=[f"choice{i}" for i in range(len(EVERY_CHOICE))] + [os.path.basename(p) for p in REFERENCE_CONFIGS],
+    )
+    def test_snapshot_holds_only_read_keys_and_builds_the_same_run(self, values):
+        setup = build_setup(values)
+        assert [key for key in setup.resolved if ignoring_choice(setup.resolved, key)] == []
+        again = build_setup(setup.resolved)
+        assert (again.train, again.data, again.resolved) == (setup.train, setup.data, setup.resolved)
 
     def test_ignored_keys_of_a_reference_config_exit_1(self, tmp_path, capsys):
         reference = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "reference_switch.cfg")
@@ -555,7 +578,7 @@ class TestUnreadKeys:
 
     @pytest.mark.parametrize("kind", ["blobs", "cifar", "idx"])
     def test_run_snapshot_trains_again(self, tmp_path, kind):
-        """A snapshot lists the defaults of keys its run ignores, e.g. `third.*` of a pair; they are taken."""
+        """A snapshot lists only the keys its run reads, e.g. no `third.*` for a pair, so it is taken as a config."""
         if kind == "blobs":
             cfg = tmp_path / "run.cfg"
             cfg.write_text(SMALL_CFG)
@@ -566,7 +589,7 @@ class TestUnreadKeys:
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(train_args(str(cfg), first, [])) == 0
         snapshot = first / "config.cfg"
-        assert "third.hidden" in load_config(str(snapshot))
+        assert "third.hidden" not in load_config(str(snapshot))
         assert main(train_args(str(snapshot), again, [])) == 0
         for name in ("config.cfg", "student.npz", "iterations.jsonl"):
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
@@ -833,6 +856,15 @@ class TestTimelineCommand:
 
     def test_missing_log_exits_1(self, tmp_path):
         assert main(["timeline", "--run", str(tmp_path), "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["zero-bytes", "blank-lines"])
+    def test_log_with_no_records_exits_1_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "iterations.jsonl"
+        path.write_text(text)
+        out = tmp_path / "t.csv"
+        assert main(["timeline", "--run", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no iteration records\n"
+        assert not out.exists()
 
     VALID = {"iteration": 4, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": "learning"}
 

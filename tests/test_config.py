@@ -7,6 +7,7 @@ import pytest
 
 from switchdistill.config import KEYS, apply_overrides, build_setup, load_config, parse_config_text
 from switchdistill.errors import ConfigError
+from switchdistill.training import NetworkDef, TrainConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -105,6 +106,10 @@ class TestBuildSetup:
     def test_kd_offline_requires_checkpoint_key(self):
         with pytest.raises(ConfigError, match="teacher_checkpoint"):
             build_setup({"strategy": "kd-offline"})
+
+    def test_python_defaults_are_the_cli_defaults(self):
+        assert build_setup({}).train == TrainConfig()
+        assert build_setup({"topology": "1t2s"}).train == TrainConfig(topology="1t2s", third=NetworkDef())
 
     def test_resolved_snapshot_contains_defaults(self):
         setup = build_setup(parse_config_text(MINIMAL))
