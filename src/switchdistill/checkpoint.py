@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .network import Conv2d, Dense, NetworkParams
 
 CHECKPOINT_FORMAT = "switchdistill-net"
@@ -61,8 +61,8 @@ def load_checkpoint(path: str) -> NetworkParams:
         layers = tuple(_spec_from_dict(d) for d in header["layers"])
         weights = [data[f"w{i}"] for i in range(len(layers))]
         biases = [data[f"b{i}"] for i in range(len(layers))]
-    except (AttributeError, KeyError, TypeError) as exc:
+        net = NetworkParams(layers, weights, biases)
+        net.validate()
+    except (AttributeError, KeyError, TypeError, ShapeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-    net = NetworkParams(layers, weights, biases)
-    net.validate()
     return net

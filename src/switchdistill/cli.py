@@ -14,6 +14,7 @@ from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, loa
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .gap import mode_stats
 from .runio import (
+    MANIFEST_NAME,
     check_comparable,
     checked_data,
     comparison_rows,
@@ -155,6 +156,10 @@ def cmd_grad_check(args) -> int:
 
 def cmd_timeline(args) -> int:
     records = read_iteration_log(os.path.join(args.run, args.file))
+    if os.path.exists(os.path.join(args.run, MANIFEST_NAME)):
+        inside = os.path.relpath(os.path.realpath(args.out), os.path.realpath(args.run))
+        if inside.split(os.sep)[0] != os.pardir:
+            raise ConfigError(f"--out: {args.out} is inside run directory {args.run}; write the timeline elsewhere")
     columns = ["iteration", "mode", "G", "delta", "epsilon"]
     rows = [{key: rec[key] for key in columns} for rec in records]
     write_csv(args.out, columns, rows)

@@ -71,7 +71,7 @@ KEYS: dict[str, tuple[Callable, str | None]] = {
     "data.kind": (str, "blobs"),
     "data.classes": (_at_least(int, 2), "4"),
     "data.dims": (_COUNT, "16"),
-    "data.per_class": (_COUNT, "100"),
+    "data.per_class": (_at_least(int, 3), "100"),  # 20% of 3 rounds to one test sample
     "data.spread": (_at_least(float, 0), "0.5"),
     "data.seed": (_at_least(int, 0), None),  # unset: the run's seed
     "data.train_images": (str, None),
@@ -126,7 +126,7 @@ def load_config(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, source=path)
 

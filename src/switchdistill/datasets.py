@@ -98,7 +98,7 @@ def generate_blobs(
     if spread < 0:
         raise DomainError("spread must be non-negative")
     rng = np.random.default_rng(seed)
-    n_train = max(1, int(round(0.8 * per_class))) if per_class > 1 else 1
+    n_train = round(0.8 * per_class)
     train_x, train_y, test_x, test_y = [], [], [], []
     for k in range(num_classes):
         center = np.zeros(dims)
@@ -183,8 +183,7 @@ def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Data
         raise FormatError(
             f"{path}: length {len(data)} is not a multiple of the {record}-byte record"
         )
-    n = len(data) // record
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(n, record) if n else np.zeros((0, record), np.uint8)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, record)
     labels = raw[:, label_bytes - 1].astype(np.int64)
     return Dataset(raw[:, label_bytes:], labels, num_classes, split, PIXEL_DIVISOR)
 
@@ -214,23 +213,16 @@ def augment_flip_crop(
 ) -> np.ndarray:
     """Random horizontal flip and shifted crop for image-shaped rows of any dtype.
 
-    Each sample draws its crop offsets, then its flip. The flip is applied
-    while padding: the flipped crop at column offset j is the crop of the
-    flipped image at offset 2 * pad - j. One indexed copy then gathers every
-    crop.
+    Each sample draws its crop offsets, then its flip, and takes that crop of
+    the zero-padded image, its columns reversed when flipped.
     """
     c, h, w = shape
     x = rows.reshape(-1, c, h, w)
-    n = x.shape[0]
-    offsets = np.empty((n, 2), dtype=np.int64)
-    flips = np.empty(n, dtype=bool)
-    for i in range(n):
-        offsets[i] = rng.integers(0, 2 * pad + 1, size=2)
-        flips[i] = rng.random() < 0.5
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    inner = padded[:, :, pad : pad + h, pad : pad + w]
-    inner[~flips] = x[~flips]
-    inner[flips] = x[flips, :, :, ::-1]
-    cols = np.where(flips, 2 * pad - offsets[:, 1], offsets[:, 1])
-    crops = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(2, 3))
-    return crops[np.arange(n), :, offsets[:, 0], cols].reshape(rows.shape)
+    padded = np.zeros((x.shape[0], c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w] = x
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        di, dj = rng.integers(0, 2 * pad + 1, size=2).tolist()
+        crop = padded[i, :, di : di + h, dj : dj + w]
+        out[i] = crop[:, :, ::-1] if rng.random() < 0.5 else crop
+    return out.reshape(rows.shape)

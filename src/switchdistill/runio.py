@@ -38,34 +38,38 @@ def read_iteration_log(path: str) -> list[dict]:
     Every non-blank line must be JSON holding a valid ``GapState``, and
     iterations must strictly increase. The first line in the file that fails
     is a FormatError naming its ``path:line``, and a bad record also its number;
-    a file with no records is a FormatError naming it.
+    a file that is not UTF-8 or holds no records is a FormatError naming it.
     """
     if not os.path.exists(path):
         raise FormatError(f"missing JSONL file {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     records: list[dict] = []
     last = -1
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: corrupt JSONL line ({exc.msg})") from exc
-            at = f"record {len(records) + 1}: {path}:{lineno}: "
-            if not isinstance(rec, dict):
-                raise FormatError(f"{at}not a JSON object")
-            try:
-                state = GapState.from_record(rec)
-            except KeyError as exc:
-                raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
-            except DomainError as exc:
-                raise FormatError(f"{at}{exc}") from exc
-            if state.iteration <= last:
-                raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
-            last = state.iteration
-            records.append(rec)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: corrupt JSONL line ({exc.msg})") from exc
+        at = f"record {len(records) + 1}: {path}:{lineno}: "
+        if not isinstance(rec, dict):
+            raise FormatError(f"{at}not a JSON object")
+        try:
+            state = GapState.from_record(rec)
+        except KeyError as exc:
+            raise FormatError(f"{at}missing field {exc.args[0]!r}") from exc
+        except DomainError as exc:
+            raise FormatError(f"{at}{exc}") from exc
+        if state.iteration <= last:
+            raise FormatError(f"{at}iteration {state.iteration} is not after {last}")
+        last = state.iteration
+        records.append(rec)
     if not records:
         raise FormatError(f"{path}: no iteration records")
     return records

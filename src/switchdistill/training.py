@@ -13,7 +13,7 @@ therefore reproduces mutual learning bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -311,6 +311,8 @@ def run_training(
     """
     if len(train_ds) == 0:
         raise DomainError("training data is empty")
+    if len(test_ds) == 0:
+        raise DomainError("test data is empty")
     check_image_shape(cfg, train_ds.dims)
     k = train_ds.num_classes
     topo = TOPOLOGY_TABLE[cfg.topology]
@@ -344,7 +346,7 @@ def run_training(
 
     for epoch in range(cfg.epochs):
         for name in opts:
-            opts[name] = replace(opts[name], lr=scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma))
+            opts[name].lr = scheduled_lr(defs[name].opt.lr, epoch, cfg.lr_milestones, cfg.lr_gamma)
         stepped: set[str] = set()
         for rows, labels in batches(train_ds, cfg.batch_size, cfg.seed, epoch):
             if cfg.augment:

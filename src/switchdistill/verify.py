@@ -99,6 +99,8 @@ def logit_grad_check(
         raise DomainError(f"unknown strategy {strategy!r}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     table = objectives(strategy, alpha, beta)

@@ -1,6 +1,8 @@
 """Checkpoint round-trips must be bit-exact, headers versioned."""
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +48,26 @@ def write_archive(path, header: bytes, **arrays):
     np.savez(str(path), header=np.frombuffer(header, dtype=np.uint8), **arrays)
 
 
+DAMAGES = ["weight-shape", "negative-width", "non-finite"]
+
+
+def damaged_checkpoint(path, damage):
+    """Write at ``path`` a readable archive of a 6-feature, 3-class MLP whose header and arrays disagree."""
+    buf = io.BytesIO()
+    save_checkpoint(buf, init_params(mlp(6, (4,), 3), 0))
+    buf.seek(0)
+    with np.load(buf) as data:
+        arrays = {k: data[k] for k in data.files if k != "header"}
+        header = json.loads(bytes(data["header"]).decode())
+    if damage == "weight-shape":
+        arrays["w0"] = np.zeros((3, 3))
+    elif damage == "negative-width":
+        header["layers"][0]["out_dim"] = -4
+    else:
+        arrays["w0"][0, 0] = np.nan
+    write_archive(path, json.dumps(header).encode(), **arrays)
+
+
 class TestMalformedCheckpoint:
     def test_header_not_json(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -70,4 +92,11 @@ class TestMalformedCheckpoint:
         path = tmp_path / "bad.npz"
         np.savez(str(path), **arrays)
         with pytest.raises(FormatError, match=str(path)):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_header_and_arrays_that_disagree_name_the_file(self, tmp_path, damage):
+        path = tmp_path / "bad.npz"
+        damaged_checkpoint(path, damage)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: malformed checkpoint \\(ShapeError: "):
             load_checkpoint(str(path))

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from test_checkpoint import DAMAGES, damaged_checkpoint
 from test_datasets import write_idx_pair
 
 from switchdistill import cli, config, runio, training
@@ -327,6 +328,26 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and err.startswith("error: kd.teacher_checkpoint:"), err
         assert ckpt in err and all(w in err for w in widths), err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_malformed_teacher_checkpoint_exits_1_naming_it(self, cfg_file, tmp_path, capsys, damage):
+        ckpt = tmp_path / "teacher.npz"
+        damaged_checkpoint(ckpt, damage)
+        out = tmp_path / "r"
+        args = ["train", "--config", cfg_file, "--out", str(out)]
+        args += ["--set", "strategy=kd-offline", "--set", f"kd.teacher_checkpoint={ckpt}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: malformed checkpoint (ShapeError: ") and err.count("\n") == 1, err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("per_class", [1, 2])
+    def test_blob_per_class_below_3_exits_1_before_any_data(self, cfg_file, tmp_path, capsys, monkeypatch, per_class):
+        monkeypatch.setattr(config, "generate_blobs", lambda *a, **k: pytest.fail("blobs were generated"))
+        out = tmp_path / "r"
+        code = main(train_args(cfg_file, out, [f"data.per_class={per_class}"]))
+        err = assert_config_error(code, capsys, out, "data.per_class")
+        assert err == f"error: data.per_class: must be >= 3, got {per_class}"
 
     def test_idx_test_labels_beyond_train_classes_exit_1(self, tmp_path, capsys):
         cfg, train_labels, test_labels = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2, 3, 4] * 4)
@@ -719,6 +740,7 @@ class TestGradCheckCommand:
             (["--tolerance", "inf"], "tolerance"),
             (["--tolerance", "nan"], "tolerance"),
             (["--tolerance", "0"], "tolerance"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_check_of_nothing_exits_2_naming_the_argument(self, capsys, args, argument):
@@ -726,6 +748,17 @@ class TestGradCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {argument} must be") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_config_that_is_not_utf8_exits_1_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"epochs = 1\n\xff\n")
+    out = tmp_path / "r"
+    assert main([command, "--config" if command == "train" else "--configs", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def run_into_closed_pipe(args):
@@ -867,6 +900,27 @@ class TestTimelineCommand:
         assert not out.exists()
 
     VALID = {"iteration": 4, "G": 0.4, "r": 0.3, "epsilon": 0.7, "delta": 0.5, "mode": "learning"}
+
+    def test_log_that_is_not_utf8_exits_1_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "iterations.jsonl"
+        path.write_bytes(json.dumps(self.VALID).encode() + b"\n\xff\n")
+        out = tmp_path / "t.csv"
+        assert main(["timeline", "--run", str(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["run", "link", "dotdot"])
+    def test_out_inside_a_run_directory_exits_1_writing_nothing(self, tmp_path, capsys, via):
+        run = tmp_path / "run"
+        self.write_log(run, ["learning", "expert"])
+        (run / "manifest.json").write_text("{}\n")
+        (tmp_path / "link").symlink_to(run)
+        out = {"run": run, "link": tmp_path / "link", "dotdot": tmp_path / "elsewhere" / ".." / "run"}[via] / "t.csv"
+        assert main(["timeline", "--run", str(run), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out: {out} is inside run directory {run}") and err.count("\n") == 1, err
+        assert run_dir_files(run) == ["iterations.jsonl", "manifest.json"]
 
     @pytest.mark.parametrize(
         "record",

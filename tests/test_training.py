@@ -576,6 +576,26 @@ class TestConfigAndSchedule:
         assert lrs[0] == (ADAM.lr, ADAM.lr)
         assert lrs[2 * per_epoch] == pytest.approx((ADAM.lr * 0.1, ADAM.lr * 0.1))
 
+    def test_optimizer_states_are_the_live_objects(self):
+        train, test = blob_pair()
+        held = {}
+        result = run_training(
+            pair_cfg(epochs=3, lr_milestones=(2,), lr_gamma=0.1), train, test,
+            inspect=lambda i, info: held.setdefault(i, info["opts"]["teacher"]),
+        )
+        assert held[0] is result.opts["teacher"]
+        assert held[0].lr == pytest.approx(ADAM.lr * 0.1)
+        assert held[0].step_count == len(held)
+
+    @pytest.mark.parametrize("per_class", [1, 2])
+    def test_empty_test_set_is_refused_before_any_step(self, per_class):
+        train, test = blob_pair(per_class=per_class)
+        assert len(test) == 0
+        seen = []
+        with pytest.raises(DomainError, match="^test data is empty$"):
+            run_training(pair_cfg(), train, test, inspect=lambda i, info: seen.append(i))
+        assert seen == []
+
     def test_invalid_fields(self):
         with pytest.raises(ConfigError):
             pair_cfg(strategy="banana")

@@ -52,6 +52,7 @@ class TestLogitGradCheck:
             ({"tolerance": math.nan}, "tolerance"),
             ({"tolerance": 0.0}, "tolerance"),
             ({"tolerance": -1e-4}, "tolerance"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_refuses_a_check_that_checks_nothing(self, kwargs, argument):
