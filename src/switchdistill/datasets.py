@@ -143,6 +143,8 @@ def load_idx(images_path: str, labels_path: str, split: str = "train") -> Datase
     count = _read_be_u32(img_data, 4, images_path)
     rows = _read_be_u32(img_data, 8, images_path)
     cols = _read_be_u32(img_data, 12, images_path)
+    if rows * cols == 0:
+        raise FormatError(f"{images_path}: images of {rows}x{cols} pixels hold no pixels")
     expected = 16 + count * rows * cols
     if len(img_data) != expected:
         raise FormatError(
@@ -185,6 +187,9 @@ def load_cifar_binary(path: str, num_classes: int, split: str = "train") -> Data
         )
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, record)
     labels = raw[:, label_bytes - 1].astype(np.int64)
+    bad = np.flatnonzero(labels >= num_classes)
+    if bad.size:
+        raise FormatError(f"{path}: record {bad[0] + 1} has label {labels[bad[0]]}, outside [0, {num_classes})")
     return Dataset(raw[:, label_bytes:], labels, num_classes, split, PIXEL_DIVISOR)
 
 

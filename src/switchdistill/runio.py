@@ -180,11 +180,11 @@ def _freeze_stats(result: TrainResult, net_name: str) -> tuple[int, float]:
 
     A network is frozen on the iterations where every pair it belongs to is
     in expert mode, so a network in one pair follows that pair's modes. Runs
-    that do not switch log every iteration as learning. A pre-trained offline
-    teacher is a permanently frozen expert.
+    that do not switch log every iteration as learning. A network with no
+    optimizer, the pre-trained offline teacher, is a permanently frozen expert.
     """
     cfg = result.config
-    if cfg.strategy == "kd-offline" and net_name == TEACHER:
+    if net_name not in result.opts:
         return 0, 1.0
     pairs = zip(cfg.pair_names(), TOPOLOGY_TABLE[cfg.topology].pairs)
     logs = [result.iteration_log[p] for p, pair in pairs if net_name in pair]

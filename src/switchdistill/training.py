@@ -234,31 +234,29 @@ def check_image_shape(cfg: TrainConfig, dims: int) -> None:
         )
 
 
-def pair_targets(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, np.ndarray]:
-    """role -> the distribution its KL term in this pair pulls toward; roles without one are absent."""
+def pair_terms(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, tuple[float, list]]:
+    """role -> (CE weight, [(KL weight, target)]) in this pair; the kd-offline teacher, which never steps, is absent."""
     out = {}
     for role, other in ((STUDENT, teacher), (TEACHER, student)):
         obj = table[role]
-        if obj is not None and obj.kl is not None:
-            out[role] = ensemble_target(ptau[student], ptau[teacher]) if obj.target == ENSEMBLE else ptau[other]
+        if obj is not None:
+            target = ensemble_target(ptau[student], ptau[teacher]) if obj.target == ENSEMBLE else ptau[other]
+            out[role] = (obj.ce, [] if obj.kl is None else [(obj.kl, target)])
     return out
 
 
-def stepping_terms(table: dict, topo: Topology, modes, targets, ptau: dict) -> dict[str, tuple[float, list]]:
+def stepping_terms(topo: Topology, modes, per_pair, ptau: dict) -> dict[str, tuple[float, list]]:
     """Networks that step this iteration -> (CE weight, [(KL weight, target)]).
 
     Pair terms come in pair order, then peer terms. A teacher's pair term
     counts only while that pair is learning.
     """
     out: dict[str, tuple[float, list]] = {}
-    for (t, s), mode, tg in zip(topo.pairs, modes, targets):
+    for (t, s), mode, terms in zip(topo.pairs, modes, per_pair):
         for role, net in ((STUDENT, s), (TEACHER, t)):
-            obj = table[role]
-            if obj is None or (role == TEACHER and mode != LEARNING):
-                continue
-            terms = out.setdefault(net, (obj.ce, []))[1]
-            if role in tg:
-                terms.append((obj.kl, tg[role]))
+            if role in terms and (role == STUDENT or mode == LEARNING):
+                w_ce, kls = terms[role]
+                out.setdefault(net, (w_ce, []))[1].extend(kls)
     for a, b in topo.peers:
         for net, other in ((a, b), (b, a)):
             if net in out:
@@ -282,14 +280,14 @@ def objective_value(w_ce: float, ce: float, kls, tau: float) -> float:
     return total
 
 
-def _pair_components(table: dict, pair: tuple[str, str], tg: dict, ce: dict, ptau: dict, tau: float) -> dict:
-    """(role, quantity) -> the pair's CE, KL and objective value per role."""
+def _pair_components(pair: tuple[str, str], terms: dict, ce: dict, ptau: dict, tau: float) -> dict:
+    """(role, quantity) -> the pair's CE, KL and objective value per role; a role without terms logs its CE."""
     out = {}
     for role, net in zip((TEACHER, STUDENT), pair):
-        w_ce, w_kl, _ = table[role] or Objective(1.0, None, None)
-        kl = float(np.mean(kl_loss(tg[role], ptau[net]))) if role in tg else 0.0
-        out[role, "ce"], out[role, "kl"] = ce[net], kl
-        out[role, "loss"] = objective_value(w_ce, ce[net], [(w_kl, kl)] if role in tg else [], tau)
+        w_ce, targets = terms.get(role, (1.0, []))
+        kls = [(w, float(np.mean(kl_loss(q, ptau[net])))) for w, q in targets]
+        out[role, "ce"], out[role, "kl"] = ce[net], sum((kl for _, kl in kls), 0.0)
+        out[role, "loss"] = objective_value(w_ce, ce[net], kls, tau)
     return out
 
 
@@ -361,8 +359,8 @@ def run_training(
                 z, caches[name] = forward_with_cache(nets[name], x, workspaces[name])
                 p1[name], ptau[name] = soften(z, 1.0), soften(z, tau)
                 ce[name] = float(np.mean(ce_loss(y1h, p1[name])))
-            targets = [pair_targets(table, t, s, ptau) for t, s in topo.pairs]
-            components = [_pair_components(table, pr, tg, ce, ptau, tau) for pr, tg in zip(topo.pairs, targets)]
+            per_pair = [pair_terms(table, t, s, ptau) for t, s in topo.pairs]
+            components = [_pair_components(pr, terms, ce, ptau, tau) for pr, terms in zip(topo.pairs, per_pair)]
             totals = [c[r, "loss"] for c in components for r in (STUDENT, TEACHER)]
             if not all(map(math.isfinite, [*ce.values(), *totals])):
                 raise NumericError(f"non-finite loss at iteration {iteration}")
@@ -375,7 +373,7 @@ def run_training(
 
             grads_logit = {
                 name: logit_grad(w_ce, terms, p1[name], ptau[name], y1h, tau)
-                for name, (w_ce, terms) in stepping_terms(table, topo, modes, targets, ptau).items()
+                for name, (w_ce, terms) in stepping_terms(topo, modes, per_pair, ptau).items()
             }
             for name in names:
                 if name in grads_logit:

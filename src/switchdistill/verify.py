@@ -1,12 +1,12 @@
 """Finite-difference verification of analytic gradients, on one five-point stencil.
 
-``logit_grad_check`` covers the logit gradient of every role the trainer
+``logit_grad_check`` covers the logit gradient of every network the trainer
 steps under each strategy, the switching strategy's triples included: it
-folds the gradient from the trainer's own objective table on random
-(logits, label) instances and differentiates the same objective through the
-temperature softmax, holding partner, peer and ensemble targets constant as
-the trainer does. ``param_grad_check`` checks any network's parameter
-gradients against a loss closure, one case per layer.
+folds each gradient from the trainer's ``pair_terms`` and ``stepping_terms``
+on random (logits, label) instances and differentiates the same objective
+through the temperature softmax, holding partner, peer and ensemble targets
+constant as the trainer does. ``param_grad_check`` checks any network's
+parameter gradients against a loss closure, one case per layer.
 """
 
 from __future__ import annotations
@@ -17,19 +17,18 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 from .gap import LEARNING
 from .losses import ce_loss, kl_loss, one_hot, soften
 from .network import NetworkParams
 from .training import (
     STRATEGIES,
-    STUDENT,
-    TEACHER,
     TOPOLOGY_TABLE,
+    TrainConfig,
     logit_grad,
     objective_value,
     objectives,
-    pair_targets,
+    pair_terms,
     stepping_terms,
 )
 
@@ -87,16 +86,19 @@ def logit_grad_check(
     fault_scale: float = 1.0,
     h: float = 1e-4,
 ) -> GradCheckReport:
-    """Check one strategy's gradient for every role it trains, triples included.
+    """Check one strategy's gradient for every network it steps, triples included.
 
-    Each trial draws logits for every network of the topology with all pairs
-    learning, builds the role's objective terms from the training table, and
-    holds their targets constant at the base point. ``fault_scale``
-    multiplies the KL portion of the analytic gradient and exists to prove
-    the harness catches wrong gradients.
+    For each topology the strategy trains, each of ``trials`` instances draws
+    logits for every network with all pairs learning, and checks every network
+    that then steps on the terms the trainer folds, holding their targets
+    constant at the base point. ``alpha``, ``beta`` and ``tau`` are refused
+    as a run refuses them. ``fault_scale`` multiplies the KL portion of the
+    analytic gradient and exists to prove the harness catches wrong gradients.
     """
-    if strategy not in STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}")
+    try:
+        TrainConfig(strategy=strategy, alpha=alpha, beta=beta, tau=tau)  # a run's own rules for these values
+    except ConfigError as exc:
+        raise DomainError(str(exc)) from None
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     if seed < 0:
@@ -104,32 +106,29 @@ def logit_grad_check(
     _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     table = objectives(strategy, alpha, beta)
-    roles = [("pair", role) for role in (STUDENT, TEACHER) if table[role] is not None]
-    if strategy == "switch":  # the only strategy that trains triples
-        triples = [name for name, topo in TOPOLOGY_TABLE.items() if len(topo.pairs) > 1]
-        roles += [(topo, role) for topo in triples for role in (STUDENT, TEACHER)]
     cases = []
-    for topology, name in roles:
-        topo = TOPOLOGY_TABLE[topology]
-        worst = 0.0
+    trained = [(name, topo) for name, topo in TOPOLOGY_TABLE.items() if name == "pair" or strategy == "switch"]
+    for topology, topo in trained:  # switch is the only strategy that trains triples
+        worst: dict[str, float] = {}
         for _ in range(trials):
             k = int(rng.integers(2, 11))
             z = {net: rng.normal(0.0, 2.0, size=k) for net in topo.names}
             y = one_hot(int(rng.integers(k)), k)
             ptau = {net: soften(v, tau) for net, v in z.items()}
-            targets = [pair_targets(table, t, s, ptau) for t, s in topo.pairs]
-            modes = [LEARNING] * len(topo.pairs)
-            w_ce, terms = stepping_terms(table, topo, modes, targets, ptau)[name]
-            faulty = [(fault_scale * w, q) for w, q in terms]
-            analytic = logit_grad(w_ce, faulty, soften(z[name], 1.0), ptau[name], y, tau)
+            per_pair = [pair_terms(table, t, s, ptau) for t, s in topo.pairs]
+            for name, (w_ce, terms) in stepping_terms(topo, [LEARNING] * len(topo.pairs), per_pair, ptau).items():
+                faulty = [(fault_scale * w, q) for w, q in terms]
+                analytic = logit_grad(w_ce, faulty, soften(z[name], 1.0), ptau[name], y, tau)
 
-            def value(zs):  # the objective of each row of logits
-                kls = [(w, kl_loss(np.broadcast_to(q, zs.shape), soften(zs, tau))) for w, q in terms]
-                return objective_value(w_ce, ce_loss(np.broadcast_to(y, zs.shape), soften(zs, 1.0)), kls, tau)
+                def value(zs):  # the objective of each row of logits
+                    kls = [(w, kl_loss(np.broadcast_to(q, zs.shape), soften(zs, tau))) for w, q in terms]
+                    return objective_value(w_ce, ce_loss(np.broadcast_to(y, zs.shape), soften(zs, 1.0)), kls, tau)
 
-            worst = float(np.maximum(worst, _max_rel_error(analytic, lambda d: value(z[name] + d * np.eye(k)), h)))
-        role = name if topology == "pair" else f"{topology} {name}"
-        cases.append(GradCheckCase(f"{strategy:10s} {role:12s} tau={tau:<4g}", worst, worst <= tolerance))
+                error = _max_rel_error(analytic, lambda d: value(z[name] + d * np.eye(k)), h)
+                worst[name] = float(np.maximum(worst.get(name, 0.0), error))
+        for name, error in worst.items():
+            role = name if topology == "pair" else f"{topology} {name}"
+            cases.append(GradCheckCase(f"{strategy:10s} {role:13s} tau={tau:<4g}", error, error <= tolerance))
     return GradCheckReport(cases=cases, tolerance=tolerance)
 
 

@@ -374,6 +374,34 @@ class TestTrainCommand:
         assert err == f"error: {empty}: holds no records; the {split} split needs at least one", err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("classes, split, label", [(10, "train", 12), (100, "test", 150)])
+    def test_cifar_label_outside_the_classes_exits_1_naming_the_record(self, tmp_path, capsys, classes, split, label):
+        """The label byte of CIFAR-10, or the fine-label byte of CIFAR-100, of the third record."""
+        label_bytes = 1 if classes == 10 else 2
+        paths = {name: tmp_path / f"{name}.bin" for name in ("train", "test")}
+        for name, path in paths.items():
+            labels = np.zeros((4, label_bytes), dtype=np.uint8)
+            labels[2, -1] = label if name == split else 1
+            path.write_bytes(np.hstack([labels, np.zeros((4, 3072), dtype=np.uint8)]).tobytes())
+        cfg = tmp_path / "cifar.cfg"
+        cfg.write_text(
+            f"epochs = 1\ndata.kind = cifar\ndata.classes = {classes}\n"
+            f"data.train_path = {paths['train']}\ndata.test_path = {paths['test']}\n"
+        )
+        out = tmp_path / "r"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[split]}: record 3 has label {label}, outside [0, {classes})\n", err
+        assert not os.path.exists(out)
+
+    def test_idx_images_of_no_pixels_exit_1_naming_the_file(self, tmp_path, capsys):
+        cfg, _, _ = idx_cfg(tmp_path, [0, 1, 2], [0, 1, 2])
+        images, _ = write_idx_pair(tmp_path / "train", np.zeros((3, 0, 5), dtype=np.uint8), np.array([0, 1, 2], np.uint8))
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {images}: images of 0x5 pixels hold no pixels\n"
+        assert not os.path.exists(out)
+
     def test_idx_test_split_with_fewer_classes_trains(self, tmp_path):
         cfg, _, _ = idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1] * 4)
         out = str(tmp_path / "r")
@@ -731,6 +759,28 @@ class TestGradCheckCommand:
 
     def test_unknown_strategy_is_runtime_error(self):
         assert main(["grad-check", "--strategy", "atkd"]) == 2
+
+    def test_switch_checks_every_network_of_every_topology(self, capsys):
+        assert main(["grad-check", "--strategy", "switch", "--trials", "3"]) == 0
+        *cases, verdict = capsys.readouterr().out.splitlines()
+        assert [line.split()[:1] + line.split()[2:-2] for line in cases] == [
+            ["ok", "student"], ["ok", "teacher"],
+            ["ok", "1t2s", "student"], ["ok", "1t2s", "teacher"], ["ok", "1t2s", "student2"],
+            ["ok", "2t1s", "student"], ["ok", "2t1s", "teacher"], ["ok", "2t1s", "teacher2"],
+        ]
+        assert verdict.startswith("all gradients within")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--alpha", "-1"], "alpha: must be non-negative, got -1.0"),
+            (["--beta", "inf"], "beta: must be finite, got inf"),
+            (["--tau", "nan"], "tau: must be finite, got nan"),
+        ],
+    )
+    def test_objective_a_run_refuses_exits_2_naming_the_argument(self, capsys, args, message):
+        assert main(["grad-check", "--trials", "2", *args]) == 2
+        assert capsys.readouterr()[:] == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "args, argument",

@@ -32,7 +32,7 @@ from switchdistill.training import (
     evaluate,
     logit_grad,
     objectives,
-    pair_targets,
+    pair_terms,
     run_training,
     scheduled_lr,
     stepping_terms,
@@ -243,10 +243,10 @@ class TestObjectiveTable:
         pt = {n: soften(rng.normal(0, 2, (8, 5)), tau) for n in ("student", "teacher")}
         topo = TOPOLOGY_TABLE["pair"]
         table = objectives(strategy, alpha, beta)
-        targets = [pair_targets(table, "teacher", "student", pt)]
+        per_pair = [pair_terms(table, "teacher", "student", pt)]
         got = {
             n: logit_grad(w_ce, terms, p1[n], pt[n], y, tau)
-            for n, (w_ce, terms) in stepping_terms(table, topo, [LEARNING], targets, pt).items()
+            for n, (w_ce, terms) in stepping_terms(topo, [LEARNING], per_pair, pt).items()
         }
         pm = ensemble_target(pt["student"], pt["teacher"])
         want = {

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from switchdistill.errors import DomainError
+from switchdistill.datasets import generate_blobs
+from switchdistill.errors import ConfigError, DomainError
+from switchdistill.gap import LEARNING
 from switchdistill.network import Dense, NetworkParams
+from switchdistill.training import STRATEGIES, TOPOLOGIES, NetworkDef, TrainConfig, build_network, run_training
 from switchdistill.verify import full_grad_check, logit_grad_check, param_grad_check
 
 
@@ -37,10 +40,9 @@ class TestLogitGradCheck:
             logit_grad_check("fitnet")
 
     def test_nan_gradient_is_not_ok(self):
-        report = logit_grad_check("dml", alpha=float("nan"), trials=5)
+        report = logit_grad_check("dml", trials=5, fault_scale=math.nan)
         student, teacher = report.cases
         assert not student.ok and math.isnan(student.max_rel_error)
-        assert teacher.ok  # beta weighs the teacher's KL term
         assert not report.ok and math.isnan(report.max_rel_error)
 
     @pytest.mark.parametrize(
@@ -58,6 +60,32 @@ class TestLogitGradCheck:
     def test_refuses_a_check_that_checks_nothing(self, kwargs, argument):
         with pytest.raises(DomainError, match=f"^{argument} must be"):
             logit_grad_check("switch", **kwargs)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_checks_every_network_the_trainer_steps(self, strategy):
+        """Per topology the strategy trains, the checked networks are the ones a learning iteration steps."""
+        alpha = 0.5 if strategy == "kd-offline" else 1.0
+        checked: dict[str, list] = {}
+        for case in logit_grad_check(strategy, alpha=alpha, trials=1).cases:
+            *topology, net = case.name.split()[1:-1]
+            checked.setdefault(topology[0] if topology else "pair", []).append(net)
+        train, test = generate_blobs(3, 5, 4, 0.5, 0)
+        stepped = {}
+        for topology in TOPOLOGIES:
+            try:
+                cfg = TrainConfig(
+                    strategy=strategy, topology=topology, alpha=alpha, epochs=1, batch_size=len(train), third=NetworkDef()
+                )
+            except ConfigError:  # a topology the strategy does not train
+                continue
+            initial = {"teacher": build_network(cfg.teacher, train.dims, 3, 0, 1)} if strategy == "kd-offline" else None
+            grads = []
+            run_training(
+                cfg, train, test, mode_hook=lambda i, p, s: LEARNING,
+                inspect=lambda i, payload: grads.append(list(payload["logit_grads"])), initial=initial,
+            )
+            stepped[topology] = grads[0]
+        assert checked == stepped
 
     def test_full_sweep_covers_all_roles(self):
         report = full_grad_check(trials=5)
