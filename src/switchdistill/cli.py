@@ -10,6 +10,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, load_config
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .gap import mode_stats
@@ -181,12 +183,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "out", None) == "":
             raise ConfigError("--out: empty path")
-        return handlers[args.command](args)
+        with np.errstate(over="raise", invalid="raise"):  # an overflow or a NaN ends the command
+            return handlers[args.command](args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, ShapeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except FloatingPointError as exc:
+        print(f"error: floating-point {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}", file=sys.stderr)

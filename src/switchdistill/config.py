@@ -2,10 +2,11 @@
 
 The format is a plain text file: one ``key = value`` per line, ``#`` starts a
 comment line, and list values are comma-separated. ``KEYS`` is the one table
-of keys: each row holds the key's parser, which also checks its range, and
-its CLI default. Every config error is raised by ``build_setup``, before any
-data is loaded or any network trained, with a message that names the key;
-``ignoring_choice`` is the one rule for which keys a run reads.
+of keys: each row holds the key's type parser and its CLI default;
+``ignoring_choice`` is the one rule for which keys a run reads. A rule on a
+value lives in the object that holds it, which refuses the value on
+construction, naming the key: ``DataSettings`` for ``data.*`` values and
+``TrainConfig`` for the rest. ``build_setup`` builds both before any data is read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .errors import ConfigError, FormatError
-from .training import NetworkDef, OptimizerSettings, TrainConfig
+from .training import IMAGE_KEYS, NetworkDef, OptimizerSettings, TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -35,26 +36,6 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
-def _at_least(parse: Callable, low: int) -> Callable:
-    """``parse``, then require the value, or every entry of a list, to be finite and >= ``low``.
-
-    A value out of range raises a ConfigError without the key, which ``build_setup`` prefixes.
-    """
-
-    def parse_in_range(raw: str):
-        value = parse(raw)
-        listed = isinstance(value, tuple)
-        if not all(math.isfinite(v) and v >= low for v in (value if listed else (value,))):
-            rule = f"finite and >= {low}" if isinstance(value, float) else f">= {low}"
-            raise ConfigError(f"must be {rule}{' in every entry' if listed else ''}, got {raw}")
-        return value
-
-    return parse_in_range
-
-
-_COUNT = _at_least(int, 1)
-_WIDTHS = _at_least(_parse_int_list, 1)
-
 # key -> (parser, CLI default); a None default leaves the key unset. Rows with a
 # default are in the order of the resolved snapshot.
 KEYS: dict[str, tuple[Callable, str | None]] = {
@@ -66,14 +47,14 @@ KEYS: dict[str, tuple[Callable, str | None]] = {
     "tau": (float, "1.0"),
     "epochs": (int, "10"),
     "batch_size": (int, "32"),
-    "lr.milestones": (_at_least(_parse_int_list, 0), ""),
+    "lr.milestones": (_parse_int_list, ""),
     "lr.gamma": (float, "0.1"),
     "data.kind": (str, "blobs"),
-    "data.classes": (_at_least(int, 2), "4"),
-    "data.dims": (_COUNT, "16"),
-    "data.per_class": (_at_least(int, 3), "100"),  # 20% of 3 rounds to one test sample
-    "data.spread": (_at_least(float, 0), "0.5"),
-    "data.seed": (_at_least(int, 0), None),  # unset: the run's seed
+    "data.classes": (int, "4"),
+    "data.dims": (int, "16"),
+    "data.per_class": (int, "100"),
+    "data.spread": (float, "0.5"),
+    "data.seed": (int, None),  # unset: the run's seed
     "data.train_images": (str, None),
     "data.train_labels": (str, None),
     "data.test_images": (str, None),
@@ -81,15 +62,15 @@ KEYS: dict[str, tuple[Callable, str | None]] = {
     "data.train_path": (str, None),
     "data.test_path": (str, None),
     "data.augment": (_parse_bool, "false"),
-    "data.channels": (_COUNT, None),
-    "data.height": (_COUNT, None),
-    "data.width": (_COUNT, None),
+    "data.channels": (int, None),
+    "data.height": (int, None),
+    "data.width": (int, None),
     "kd.teacher_checkpoint": (str, None),
 }
 for _net, _hidden, _lr in (("student", "16", "0.005"), ("teacher", "256,256", "0.02"), ("third", "16", "0.005")):
     KEYS.update({
-        f"{_net}.hidden": (_WIDTHS, _hidden),
-        f"{_net}.conv": (_WIDTHS, None),
+        f"{_net}.hidden": (_parse_int_list, _hidden),
+        f"{_net}.conv": (_parse_int_list, None),
         f"{_net}.optimizer": (str, "adam"),
         f"{_net}.lr": (float, _lr),
         f"{_net}.momentum": (float, "0.9"),
@@ -102,7 +83,6 @@ DATA_KEYS = {
     "idx": ("train_images", "train_labels", "test_images", "test_labels"),
     "cifar": ("classes", "train_path", "test_path"),
 }
-IMAGE_KEYS = ("data.channels", "data.height", "data.width")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -153,22 +133,36 @@ def apply_overrides(values: dict[str, str], overrides: list[str]) -> dict[str, s
 
 @dataclass
 class DataSettings:
-    """Where the train/test datasets come from; ``kind`` is a key of DATA_KEYS."""
+    """Where the train/test datasets come from; a value its ``kind`` (a DATA_KEYS key) cannot use is refused."""
 
     kind: str
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in DATA_KEYS:
+            raise ConfigError(f"data.kind: unknown value {self.kind!r}, expected one of {tuple(DATA_KEYS)}")
+        for name in DATA_KEYS[self.kind]:
+            if name not in self.options:
+                raise ConfigError(f"data.{name}: required for data.kind={self.kind}")
+        o = self.options
+        if self.kind == "blobs":
+            # per_class: the test split takes 20% of each class, which rounds to one sample at 3
+            for name, low in (("classes", 2), ("per_class", 3), ("seed", 0)):
+                if o[name] < low:
+                    raise ConfigError(f"data.{name}: must be >= {low}, got {o[name]}")
+            if not (math.isfinite(o["spread"]) and o["spread"] >= 0):
+                raise ConfigError(f"data.spread: must be finite and >= 0, got {o['spread']}")
+            if o["dims"] < o["classes"]:
+                raise ConfigError(f"data.dims: must be >= data.classes ({o['classes']}) for data.kind=blobs, got {o['dims']}")
+        if self.kind == "cifar" and o["classes"] not in (10, 100):
+            raise ConfigError(f"data.classes: must be 10 or 100 for data.kind=cifar, got {o['classes']}")
 
     def build(self) -> tuple[Dataset, Dataset]:
         """The (train, test) datasets; an image file with no records is refused, naming it."""
         o = self.options
         if self.kind == "blobs":
-            return generate_blobs(
-                num_classes=o["classes"],
-                per_class=o["per_class"],
-                dims=o["dims"],
-                spread=o["spread"],
-                seed=o["seed"],
-            )
+            return generate_blobs(num_classes=o["classes"], per_class=o["per_class"], dims=o["dims"],
+                                  spread=o["spread"], seed=o["seed"])
         if self.kind == "idx":
             paths = (o["train_images"], o["test_images"])
             train = load_idx(o["train_images"], o["train_labels"], "train")
@@ -212,7 +206,7 @@ def _network_def(typed: dict, prefix: str) -> NetworkDef:
 
 
 def build_setup(values: dict[str, str]) -> RunSetup:
-    """Typed TrainConfig + DataSettings from raw config values, with every config check.
+    """Typed TrainConfig + DataSettings from raw config values; each refuses a bad value as it is built.
 
     ``resolved``, the snapshot a run records, is ``values`` over the CLI
     defaults, with ``data.seed`` set to ``seed`` when it is not given, less
@@ -220,9 +214,6 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     """
     resolved = {key: default for key, (_, default) in KEYS.items() if default is not None}
     resolved.update(values)
-    kind = resolved["data.kind"]
-    if kind not in DATA_KEYS:
-        raise ConfigError(f"data.kind: unknown value {kind!r}, expected one of {tuple(DATA_KEYS)}")
     seed_inherited = "data.seed" not in resolved
     resolved.setdefault("data.seed", resolved["seed"])
     resolved = {key: raw for key, raw in resolved.items() if not ignoring_choice(resolved, key)}
@@ -230,23 +221,17 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     for key, raw in resolved.items():
         try:
             typed[key] = KEYS[key][0](raw)
-        except ConfigError as exc:
-            if key == "data.seed" and seed_inherited:  # name the key the user set
-                raise ConfigError(f"seed: must be >= 0 when data.seed is not set, got {raw}") from None
-            raise ConfigError(f"{key}: {exc}") from None
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
 
-    for name in DATA_KEYS[kind]:
-        if f"data.{name}" not in typed:
-            raise ConfigError(f"data.{name}: required for data.kind={kind}")
-    options = {name: typed[f"data.{name}"] for name in DATA_KEYS[kind]}
-    if kind == "blobs" and options["dims"] < options["classes"]:
-        raise ConfigError(
-            f"data.dims: must be >= data.classes ({options['classes']}) for data.kind=blobs, got {options['dims']}"
-        )
-    if kind == "cifar" and options["classes"] not in (10, 100):
-        raise ConfigError(f"data.classes: must be 10 or 100 for data.kind=cifar, got {options['classes']}")
+    kind = typed["data.kind"]
+    options = {name: typed[f"data.{name}"] for name in DATA_KEYS.get(kind, ()) if f"data.{name}" in typed}
+    try:
+        data = DataSettings(kind, options)
+    except ConfigError as exc:
+        if seed_inherited and str(exc).startswith("data.seed: "):  # name the key the user set
+            raise ConfigError(f"seed: must be >= 0 when data.seed is not set, got {options['seed']}") from None
+        raise
     given = [key for key in IMAGE_KEYS if key in typed]
     if given and len(given) < len(IMAGE_KEYS):
         missing = " and ".join(key for key in IMAGE_KEYS if key not in typed)
@@ -271,7 +256,7 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     )
     if train.strategy == "kd-offline" and not typed.get("kd.teacher_checkpoint"):
         raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
-    return RunSetup(train, DataSettings(kind=kind, options=options), resolved)
+    return RunSetup(train, data, resolved)
 
 
 def ignoring_choice(resolved: dict[str, str], key: str) -> str | None:
@@ -282,7 +267,7 @@ def ignoring_choice(resolved: dict[str, str], key: str) -> str | None:
     """
     if key.startswith("data.") and any(key[5:] in names for names in DATA_KEYS.values()):
         kind = resolved["data.kind"]
-        return None if key[5:] in DATA_KEYS[kind] else f"data.kind={kind}"
+        return None if key[5:] in DATA_KEYS.get(kind, ()) else f"data.kind={kind}"
     if key.startswith("third.") and resolved["topology"] == "pair":
         return "topology=pair"
     if key.startswith("kd.") and resolved["strategy"] != "kd-offline":

@@ -39,6 +39,7 @@ STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
 STUDENT, TEACHER = "student", "teacher"
 PARTNER, ENSEMBLE = "partner", "ensemble"  # KL targets: the pair partner's p^tau, or the pair's mean
 
+IMAGE_KEYS = ("data.channels", "data.height", "data.width")  # the config keys of image_shape, in its order
 PEER_KL_COEFF = 1.0  # weight of the two-way KL between peer networks in triples
 
 
@@ -125,39 +126,47 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         nets = {"student": self.student, "teacher": self.teacher, "third": self.third}
-        opts = {name: defn.opt for name, defn in nets.items() if defn is not None}
+        nets = {name: defn for name, defn in nets.items() if defn is not None}
         numbers = {"alpha": self.alpha, "beta": self.beta, "tau": self.tau, "lr.gamma": self.lr_gamma}
-        for name, opt in opts.items():
-            numbers.update({f"{name}.{key}": getattr(opt, key) for key in ("lr", "momentum", "weight_decay")})
+        for name, defn in nets.items():
+            numbers.update({f"{name}.{key}": getattr(defn.opt, key) for key in ("lr", "momentum", "weight_decay")})
         for key, value in numbers.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
             if key.split(".")[-1] in ("alpha", "beta", "lr", "weight_decay") and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
-        for name, opt in opts.items():
-            if opt.kind not in OPTIMIZERS:
-                raise ConfigError(f"{name}.optimizer: unknown value {opt.kind!r}, expected one of {OPTIMIZERS}")
-            if not 0.0 <= opt.momentum < 1.0:
-                raise ConfigError(f"{name}.momentum: must be in [0, 1), got {opt.momentum}")
+            if key in ("tau", "lr.gamma") and value <= 0:
+                raise ConfigError(f"{key}: must be positive, got {value}")
+        least = {"epochs": (1, self.epochs), "batch_size": (1, self.batch_size),  # key -> (least, value or list)
+                 "lr.milestones": (0, self.lr_milestones)}
+        least.update({key: (1, size) for key, size in zip(IMAGE_KEYS, self.image_shape or ())})
+        for name, defn in nets.items():
+            least.update({f"{name}.hidden": (1, defn.hidden), f"{name}.conv": (1, defn.conv_channels)})
+        for key, (low, value) in least.items():
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(entry < low for entry in entries):
+                every = " in every entry" if isinstance(value, tuple) else ""
+                raise ConfigError(f"{key}: must be >= {low}{every}, got {','.join(map(str, entries))}")
+        for name, defn in nets.items():
+            if defn.opt.kind not in OPTIMIZERS:
+                raise ConfigError(f"{name}.optimizer: unknown value {defn.opt.kind!r}, expected one of {OPTIMIZERS}")
+            if not 0.0 <= defn.opt.momentum < 1.0:
+                raise ConfigError(f"{name}.momentum: must be in [0, 1), got {defn.opt.momentum}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}, expected one of {STRATEGIES}")
+        if self.strategy == "kd-offline" and self.alpha > 1:  # the student's KL weight is 1 - alpha
+            raise ConfigError(f"alpha: must be <= 1 for strategy=kd-offline, got {self.alpha}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"topology: unknown value {self.topology!r}, expected one of {TOPOLOGIES}")
         if self.topology != "pair" and self.strategy != "switch":
             raise ConfigError("topology: triples require strategy=switch; baselines run pairwise")
         if self.topology != "pair" and self.third is None:
             raise ConfigError("topology: triples need a third network definition")
-        if self.tau <= 0:
-            raise ConfigError("tau: must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs: must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size: must be >= 1")
-        shape_keys = "image_shape (data.channels, data.height, data.width)"
+        shape_keys = f"image_shape ({', '.join(IMAGE_KEYS)})"
         if self.augment and self.image_shape is None:
             raise ConfigError(f"data.augment: requires {shape_keys}")
         for name, defn in nets.items():
-            if defn is not None and defn.conv_channels:
+            if defn.conv_channels:
                 if self.image_shape is None:
                     raise ConfigError(f"{name}.conv: conv layers require {shape_keys}")
                 try:
@@ -165,8 +174,6 @@ class TrainConfig:
                 except ShapeError as exc:
                     shape = "x".join(map(str, self.image_shape))
                     raise ConfigError(f"{name}.conv: {exc} on image shape {shape}") from None
-        if self.lr_gamma <= 0:
-            raise ConfigError("lr.gamma: must be positive")
 
     def network_names(self) -> tuple[str, ...]:
         return TOPOLOGY_TABLE[self.topology].names
@@ -229,7 +236,7 @@ def check_image_shape(cfg: TrainConfig, dims: int) -> None:
     if cfg.image_shape is not None and math.prod(cfg.image_shape) != dims:
         c, h, w = cfg.image_shape
         raise ConfigError(
-            f"data.channels, data.height, data.width: image shape {c}x{h}x{w} holds {c * h * w} features, "
+            f"{', '.join(IMAGE_KEYS)}: image shape {c}x{h}x{w} holds {c * h * w} features, "
             f"but the data has {dims}"
         )
 

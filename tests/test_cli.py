@@ -329,6 +329,25 @@ class TestTrainCommand:
         assert ckpt in err and all(w in err for w in widths), err
         assert not os.path.exists(out)
 
+    def test_kd_offline_alpha_above_1_exits_1_naming_it(self, cfg_file, tmp_path, capsys):
+        """The student's KL weight is 1 - alpha, so an alpha above 1 would push the student away from its teacher."""
+        ckpt = str(tmp_path / "teacher.npz")
+        save_checkpoint(ckpt, init_params(mlp(6, (4,), 3), 0))
+        out = tmp_path / "r"
+        code = main(train_args(cfg_file, out, ["strategy=kd-offline", f"kd.teacher_checkpoint={ckpt}", "alpha=1.5"]))
+        err = assert_config_error(code, capsys, out, "alpha")
+        assert err == "error: alpha: must be <= 1 for strategy=kd-offline, got 1.5"
+
+    @pytest.mark.parametrize("item", ["alpha=1e308", "student.lr=1e308", "data.spread=1e308"])
+    def test_floating_point_overflow_exits_2_in_one_line(self, cfg_file, tmp_path, capsys, item):
+        """A finite value so large that NumPy overflows ends the run, instead of warning and training on."""
+        out = tmp_path / "r"
+        entries = run_dir_files(tmp_path)
+        assert main(train_args(cfg_file, out, ["epochs=1", item])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: floating-point ") and err.count("\n") == 1, err
+        assert run_dir_files(tmp_path) == entries
+
     @pytest.mark.parametrize("damage", DAMAGES)
     def test_malformed_teacher_checkpoint_exits_1_naming_it(self, cfg_file, tmp_path, capsys, damage):
         ckpt = tmp_path / "teacher.npz"
@@ -776,6 +795,7 @@ class TestGradCheckCommand:
             (["--alpha", "-1"], "alpha: must be non-negative, got -1.0"),
             (["--beta", "inf"], "beta: must be finite, got inf"),
             (["--tau", "nan"], "tau: must be finite, got nan"),
+            (["--strategy", "kd-offline", "--alpha", "1.5"], "alpha: must be <= 1 for strategy=kd-offline, got 1.5"),
         ],
     )
     def test_objective_a_run_refuses_exits_2_naming_the_argument(self, capsys, args, message):

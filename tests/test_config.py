@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from switchdistill.config import KEYS, apply_overrides, build_setup, load_config, parse_config_text
+from switchdistill.config import KEYS, DataSettings, apply_overrides, build_setup, load_config, parse_config_text
 from switchdistill.errors import ConfigError
 from switchdistill.training import NetworkDef, TrainConfig
 
@@ -110,6 +110,11 @@ class TestBuildSetup:
     def test_python_defaults_are_the_cli_defaults(self):
         assert build_setup({}).train == TrainConfig()
         assert build_setup({"topology": "1t2s"}).train == TrainConfig(topology="1t2s", third=NetworkDef())
+
+    def test_data_settings_refuse_a_value_their_kind_cannot_use(self):
+        options = {"classes": 3, "per_class": 30, "dims": 2, "spread": 0.4, "seed": 0}
+        with pytest.raises(ConfigError, match=r"^data\.dims: "):
+            DataSettings("blobs", options)
 
     def test_resolved_snapshot_contains_defaults(self):
         setup = build_setup(parse_config_text(MINIMAL))

@@ -642,6 +642,10 @@ class TestConfigAndSchedule:
             ({"augment": True}, "data.augment"),
             ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2,))}, "teacher.conv"),
             ({"teacher": NetworkDef(hidden=(4,), conv_channels=(2, 2)), "image_shape": (1, 4, 4)}, "teacher.conv"),
+            ({"lr_milestones": (-1,)}, "lr.milestones"),
+            ({"student": NetworkDef(hidden=(8, 0))}, "student.hidden"),
+            ({"image_shape": (0, 4, 4)}, "data.channels"),
+            ({"strategy": "kd-offline", "alpha": 1.5}, "alpha"),
         ],
     )
     def test_validate_names_the_config_key(self, fields, key):
