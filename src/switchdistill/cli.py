@@ -1,7 +1,8 @@
 """Command-line interface: train, compare, grad-check, and timeline.
 
 Exit codes: 0 success, 1 configuration, input or output-path failure (a
-``--out`` that is not missing or empty is refused before training), 2 runtime or numeric failure.
+``--out`` that is not missing or empty, or that lies inside a run directory,
+is refused before training), 2 runtime or numeric failure.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from .config import RunSetup, apply_overrides, build_setup, ignoring_choice, loa
 from .errors import ConfigError, DomainError, FormatError, NumericError, ShapeError
 from .gap import mode_stats
 from .runio import (
-    MANIFEST_NAME,
     check_comparable,
     checked_data,
     comparison_rows,
     execute_run,
     new_directory,
     read_iteration_log,
+    refuse_inside_run,
     write_csv,
 )
 from .verify import logit_grad_check
@@ -111,6 +112,7 @@ def _setups(paths: list[str], overrides: list[str]) -> list[tuple[str, RunSetup]
 
 def cmd_train(args) -> int:
     [(_, setup)] = _setups([args.config], args.overrides)
+    refuse_inside_run(args.out)
     inputs = checked_data([setup])[0]
     with new_directory(args.out) as out:
         execute_run(setup, out, inputs)
@@ -124,6 +126,7 @@ def cmd_compare(args) -> int:
     setups = _setups(args.configs, args.overrides)
     if not args.allow_mismatch:
         check_comparable(setups)
+    refuse_inside_run(args.out)
     inputs = checked_data([setup for _, setup in setups])
     rows = []
     with new_directory(args.out) as out:
@@ -158,10 +161,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_timeline(args) -> int:
     records = read_iteration_log(os.path.join(args.run, args.file))
-    if os.path.exists(os.path.join(args.run, MANIFEST_NAME)):
-        inside = os.path.relpath(os.path.realpath(args.out), os.path.realpath(args.run))
-        if inside.split(os.sep)[0] != os.pardir:
-            raise ConfigError(f"--out: {args.out} is inside run directory {args.run}; write the timeline elsewhere")
+    refuse_inside_run(args.out)
     columns = ["iteration", "mode", "G", "delta", "epsilon"]
     rows = [{key: rec[key] for key in columns} for rec in records]
     write_csv(args.out, columns, rows)

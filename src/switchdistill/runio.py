@@ -115,6 +115,18 @@ def checked_data(setups: list[RunSetup]) -> list[tuple[Dataset, Dataset, dict[st
     return out
 
 
+def refuse_inside_run(out: str) -> None:
+    """Raise ConfigError if a directory above ``out``, symlinks and '..' resolved, holds a manifest.json.
+
+    A run directory holds exactly what its manifest lists, so no command writes into one.
+    """
+    here = os.path.realpath(out)
+    while (parent := os.path.dirname(here)) != here:
+        here = parent
+        if os.path.isfile(os.path.join(here, MANIFEST_NAME)):
+            raise ConfigError(f"--out: {out} is inside run directory {here}")
+
+
 @contextmanager
 def new_directory(path: str) -> Iterator[str]:
     """Yield a fresh directory beside ``path``; rename it onto ``path`` when the block succeeds, remove it when it raises.

@@ -2,12 +2,13 @@
 
 A topology is a set of networks, the (teacher, student) pairs that each run
 the switching rule, and peer edges; a pair is the one-pair case. A strategy
-is one objective per role. Each iteration forwards every network, computes
-each pair's gap state, folds every stepping network's logit gradient from
-its objective terms, backpropagates, and steps. Students always step; a
-teacher steps iff at least one of its pairs is learning, and only those
-pairs' KL terms enter its gradient. Pinning the switching rule to "learning"
-therefore reproduces mutual learning bit for bit.
+is one objective per role of a pair, written once in ``pair_terms``. Each
+iteration forwards every network, computes each pair's gap state, folds
+every stepping network's logit gradient from its objective terms,
+backpropagates, and steps. Students always step; a teacher steps iff at
+least one of its pairs is learning, and only those pairs' KL terms enter
+its gradient. Pinning the switching rule to "learning" therefore
+reproduces mutual learning bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .optim import OPTIMIZERS, OptimizerState, init_optimizer, step
 
 STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
 STUDENT, TEACHER = "student", "teacher"
-PARTNER, ENSEMBLE = "partner", "ensemble"  # KL targets: the pair partner's p^tau, or the pair's mean
 
 IMAGE_KEYS = ("data.channels", "data.height", "data.width")  # the config keys of image_shape, in its order
 PEER_KL_COEFF = 1.0  # weight of the two-way KL between peer networks in triples
@@ -63,24 +63,6 @@ TOPOLOGY_TABLE = {
     ),
 }
 TOPOLOGIES = tuple(TOPOLOGY_TABLE)
-
-
-class Objective(NamedTuple):
-    ce: float  # weight of CE(y, p^1)
-    kl: float | None  # weight of tau^2 * KL(target || p^tau); None: no KL term
-    target: str | None  # PARTNER or ENSEMBLE
-
-
-def objectives(strategy: str, alpha: float, beta: float) -> dict[str, Objective | None]:
-    """Each role's objective in one pair; None marks the pre-trained kd-offline teacher, which never steps."""
-    reciprocal = {STUDENT: Objective(1.0, alpha, PARTNER), TEACHER: Objective(1.0, beta, PARTNER)}
-    return {
-        "vanilla": {STUDENT: Objective(1.0, None, None), TEACHER: Objective(1.0, None, None)},
-        "kd-offline": {STUDENT: Objective(alpha, 1.0 - alpha, PARTNER), TEACHER: None},
-        "dml": reciprocal,
-        "switch": reciprocal,
-        "kdcl": {STUDENT: Objective(1.0, 1.0, ENSEMBLE), TEACHER: Objective(1.0, 1.0, ENSEMBLE)},
-    }[strategy]
 
 
 ModeHook = Callable[[int, str, GapState], str]
@@ -241,15 +223,21 @@ def check_image_shape(cfg: TrainConfig, dims: int) -> None:
         )
 
 
-def pair_terms(table: dict, teacher: str, student: str, ptau: dict) -> dict[str, tuple[float, list]]:
-    """role -> (CE weight, [(KL weight, target)]) in this pair; the kd-offline teacher, which never steps, is absent."""
-    out = {}
-    for role, other in ((STUDENT, teacher), (TEACHER, student)):
-        obj = table[role]
-        if obj is not None:
-            target = ensemble_target(ptau[student], ptau[teacher]) if obj.target == ENSEMBLE else ptau[other]
-            out[role] = (obj.ce, [] if obj.kl is None else [(obj.kl, target)])
-    return out
+def pair_terms(cfg: TrainConfig, teacher: str, student: str, ptau: dict) -> dict[str, tuple[float, list]]:
+    """role -> (CE weight, [(KL weight, target)]) for each role of this pair that trains under ``cfg.strategy``.
+
+    This is the one definition of each strategy's objective. The pre-trained
+    kd-offline teacher, which never steps, has no entry.
+    """
+    alpha, beta = cfg.alpha, cfg.beta
+    if cfg.strategy == "vanilla":
+        return {STUDENT: (1.0, []), TEACHER: (1.0, [])}
+    if cfg.strategy == "kd-offline":
+        return {STUDENT: (alpha, [(1.0 - alpha, ptau[teacher])])}
+    if cfg.strategy == "kdcl":  # both roles learn from the pair's mean, taken once
+        mean = ensemble_target(ptau[student], ptau[teacher])
+        return {STUDENT: (1.0, [(1.0, mean)]), TEACHER: (1.0, [(1.0, mean)])}
+    return {STUDENT: (1.0, [(alpha, ptau[teacher])]), TEACHER: (1.0, [(beta, ptau[student])])}  # dml, switch
 
 
 def stepping_terms(topo: Topology, modes, per_pair, ptau: dict) -> dict[str, tuple[float, list]]:
@@ -322,16 +310,16 @@ def run_training(
     k = train_ds.num_classes
     topo = TOPOLOGY_TABLE[cfg.topology]
     names, pair_names = topo.names, cfg.pair_names()
-    table = objectives(cfg.strategy, cfg.alpha, cfg.beta)
     defs = dict(zip(names, (cfg.student, cfg.teacher, cfg.third)))
     initial = {name: net.copy() for name, net in (initial or {}).items()}  # never train the caller's arrays
-    if cfg.strategy == "kd-offline" and TEACHER not in initial:
+    offline = cfg.strategy == "kd-offline"  # its teacher is pre-trained and never steps
+    if offline and TEACHER not in initial:
         raise ConfigError("kd.teacher_checkpoint: strategy=kd-offline needs its pre-trained teacher in initial")
     nets = {
         name: initial.get(name) or build_network(defs[name], train_ds.dims, k, cfg.seed, role, cfg.image_shape)
         for role, name in enumerate(names)
     }
-    opts = {n: init_optimizer(nets[n], **asdict(defs[n].opt)) for n in names if n != TEACHER or table[TEACHER]}
+    opts = {n: init_optimizer(nets[n], **asdict(defs[n].opt)) for n in names if not (offline and n == TEACHER)}
     grad_bufs = {name: nets[name].zeros_like() for name in opts}
     workspaces = {name: {} for name in names}  # each network's forward, backward and evaluate buffers
 
@@ -366,7 +354,7 @@ def run_training(
                 z, caches[name] = forward_with_cache(nets[name], x, workspaces[name])
                 p1[name], ptau[name] = soften(z, 1.0), soften(z, tau)
                 ce[name] = float(np.mean(ce_loss(y1h, p1[name])))
-            per_pair = [pair_terms(table, t, s, ptau) for t, s in topo.pairs]
+            per_pair = [pair_terms(cfg, t, s, ptau) for t, s in topo.pairs]
             components = [_pair_components(pr, terms, ce, ptau, tau) for pr, terms in zip(topo.pairs, per_pair)]
             totals = [c[r, "loss"] for c in components for r in (STUDENT, TEACHER)]
             if not all(map(math.isfinite, [*ce.values(), *totals])):

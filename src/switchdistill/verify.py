@@ -27,7 +27,6 @@ from .training import (
     TrainConfig,
     logit_grad,
     objective_value,
-    objectives,
     pair_terms,
     stepping_terms,
 )
@@ -96,7 +95,7 @@ def logit_grad_check(
     analytic gradient and exists to prove the harness catches wrong gradients.
     """
     try:
-        TrainConfig(strategy=strategy, alpha=alpha, beta=beta, tau=tau)  # a run's own rules for these values
+        cfg = TrainConfig(strategy=strategy, alpha=alpha, beta=beta, tau=tau)  # a run's own rules for these values
     except ConfigError as exc:
         raise DomainError(str(exc)) from None
     if trials < 1:
@@ -105,7 +104,6 @@ def logit_grad_check(
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
-    table = objectives(strategy, alpha, beta)
     cases = []
     trained = [(name, topo) for name, topo in TOPOLOGY_TABLE.items() if name == "pair" or strategy == "switch"]
     for topology, topo in trained:  # switch is the only strategy that trains triples
@@ -115,7 +113,7 @@ def logit_grad_check(
             z = {net: rng.normal(0.0, 2.0, size=k) for net in topo.names}
             y = one_hot(int(rng.integers(k)), k)
             ptau = {net: soften(v, tau) for net, v in z.items()}
-            per_pair = [pair_terms(table, t, s, ptau) for t, s in topo.pairs]
+            per_pair = [pair_terms(cfg, t, s, ptau) for t, s in topo.pairs]
             for name, (w_ce, terms) in stepping_terms(topo, [LEARNING] * len(topo.pairs), per_pair, ptau).items():
                 faulty = [(fault_scale * w, q) for w, q in terms]
                 analytic = logit_grad(w_ce, faulty, soften(z[name], 1.0), ptau[name], y, tau)

@@ -730,6 +730,19 @@ class TestOutDirectory:
         assert capsys.readouterr().err == "error: --out: empty path\n"
         assert trained == []
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_out_inside_a_run_directory_exits_1_before_any_data(self, cfg_file, tmp_path, capsys, monkeypatch, command):
+        run = tmp_path / "a"
+        assert main(train_args(cfg_file, run, [])) == 0
+        built = []
+        monkeypatch.setattr(config.DataSettings, "build", lambda settings: built.append(settings))
+        capsys.readouterr()
+        out = run / "nested"
+        assert main(self.args(command, cfg_file, out)) == 1
+        assert capsys.readouterr().err == f"error: --out: {out} is inside run directory {run}\n"
+        assert built == []
+        assert run_dir_files(run) == json.load(open(run / "manifest.json"))["artifacts"]
+
     @pytest.mark.parametrize(
         "command,failing_save,named",
         [("train", 2, "teacher.npz"), ("compare", 4, "run_01_run/teacher.npz")],
@@ -980,17 +993,20 @@ class TestTimelineCommand:
         assert err.startswith(f"error: {path}: not UTF-8 text (") and err.count("\n") == 1, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("via", ["run", "link", "dotdot"])
+    @pytest.mark.parametrize("via", ["run", "link", "dotdot", "other-run"])
     def test_out_inside_a_run_directory_exits_1_writing_nothing(self, tmp_path, capsys, via):
-        run = tmp_path / "run"
-        self.write_log(run, ["learning", "expert"])
-        (run / "manifest.json").write_text("{}\n")
+        run, other = tmp_path / "run", tmp_path / "other"
+        for directory in (run, other):
+            self.write_log(directory, ["learning", "expert"])
+            (directory / "manifest.json").write_text("{}\n")
         (tmp_path / "link").symlink_to(run)
-        out = {"run": run, "link": tmp_path / "link", "dotdot": tmp_path / "elsewhere" / ".." / "run"}[via] / "t.csv"
+        into = other if via == "other-run" else run
+        out = {"run": run, "link": tmp_path / "link", "dotdot": tmp_path / "elsewhere" / ".." / "run",
+               "other-run": other}[via] / "t.csv"
         assert main(["timeline", "--run", str(run), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --out: {out} is inside run directory {run}") and err.count("\n") == 1, err
-        assert run_dir_files(run) == ["iterations.jsonl", "manifest.json"]
+        assert err.startswith(f"error: --out: {out} is inside run directory {into}") and err.count("\n") == 1, err
+        assert run_dir_files(into) == ["iterations.jsonl", "manifest.json"]
 
     @pytest.mark.parametrize(
         "record",

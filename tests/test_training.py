@@ -25,13 +25,13 @@ from switchdistill.losses import (
 )
 from switchdistill.network import Dense, NetworkParams, conv_mlp, forward, init_params, mlp
 from switchdistill.training import (
+    STRATEGIES,
     TOPOLOGY_TABLE,
     NetworkDef,
     OptimizerSettings,
     TrainConfig,
     evaluate,
     logit_grad,
-    objectives,
     pair_terms,
     run_training,
     scheduled_lr,
@@ -234,7 +234,7 @@ class TestStrategyEquivalence:
 
 
 class TestObjectiveTable:
-    @pytest.mark.parametrize("strategy", ["vanilla", "kd-offline", "dml", "kdcl", "switch"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_folded_gradients_match_the_closed_forms_bit_for_bit(self, strategy):
         rng = np.random.default_rng(4)
         alpha, beta, tau = 0.6, 1.5, 3.0
@@ -242,8 +242,8 @@ class TestObjectiveTable:
         p1 = {n: soften(rng.normal(0, 2, (8, 5)), 1.0) for n in ("student", "teacher")}
         pt = {n: soften(rng.normal(0, 2, (8, 5)), tau) for n in ("student", "teacher")}
         topo = TOPOLOGY_TABLE["pair"]
-        table = objectives(strategy, alpha, beta)
-        per_pair = [pair_terms(table, "teacher", "student", pt)]
+        cfg = TrainConfig(strategy=strategy, alpha=alpha, beta=beta, tau=tau)
+        per_pair = [pair_terms(cfg, "teacher", "student", pt)]
         got = {
             n: logit_grad(w_ce, terms, p1[n], pt[n], y, tau)
             for n, (w_ce, terms) in stepping_terms(topo, [LEARNING], per_pair, pt).items()
