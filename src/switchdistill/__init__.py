@@ -18,10 +18,9 @@ from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
 from .gap import EXPERT, LEARNING, GapState, batch_gap_state, decide_mode, mode_stats
 from .losses import ce_loss, degeneration_curve, ensemble_target, kl_loss, one_hot, soften
 from .network import Conv2d, Dense, NetworkParams, conv_mlp, forward, init_params, mlp
-from .optim import OptimizerState, init_optimizer, step
+from .optim import OptimizerSettings, OptimizerState, init_optimizer, step
 from .training import (
     NetworkDef,
-    OptimizerSettings,
     TrainConfig,
     TrainResult,
     evaluate,

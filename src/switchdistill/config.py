@@ -5,8 +5,9 @@ comment line, and list values are comma-separated. ``KEYS`` is the one table
 of keys: each row holds the key's type parser and its CLI default;
 ``ignoring_choice`` is the one rule for which keys a run reads. A rule on a
 value lives in the object that holds it, which refuses the value on
-construction, naming the key: ``DataSettings`` for ``data.*`` values and
-``TrainConfig`` for the rest. ``build_setup`` builds both before any data is read.
+construction, naming the key: ``OptimizerSettings`` for each network's
+optimizer keys, ``DataSettings`` for ``data.*`` values and ``TrainConfig``
+for the rest. ``build_setup`` builds them all before any data is read.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .datasets import Dataset, generate_blobs, load_cifar_binary, load_idx
-from .errors import ConfigError, FormatError
-from .training import IMAGE_KEYS, NetworkDef, OptimizerSettings, TrainConfig
+from .errors import ConfigError, DomainError, FormatError
+from .optim import OptimizerSettings
+from .training import IMAGE_KEYS, NetworkDef, TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -193,16 +195,16 @@ class RunSetup:
 
 
 def _network_def(typed: dict, prefix: str) -> NetworkDef:
-    return NetworkDef(
-        hidden=typed[f"{prefix}.hidden"],
-        conv_channels=typed.get(f"{prefix}.conv", ()),
-        opt=OptimizerSettings(
+    try:
+        opt = OptimizerSettings(
             kind=typed[f"{prefix}.optimizer"],
             lr=typed[f"{prefix}.lr"],
             momentum=typed[f"{prefix}.momentum"],
             weight_decay=typed[f"{prefix}.weight_decay"],
-        ),
-    )
+        )
+    except DomainError as exc:  # named by the key's suffix: prefix the network
+        raise ConfigError(f"{prefix}.{exc}") from None
+    return NetworkDef(hidden=typed[f"{prefix}.hidden"], conv_channels=typed.get(f"{prefix}.conv", ()), opt=opt)
 
 
 def build_setup(values: dict[str, str]) -> RunSetup:
@@ -214,7 +216,6 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     """
     resolved = {key: default for key, (_, default) in KEYS.items() if default is not None}
     resolved.update(values)
-    seed_inherited = "data.seed" not in resolved
     resolved.setdefault("data.seed", resolved["seed"])
     resolved = {key: raw for key, raw in resolved.items() if not ignoring_choice(resolved, key)}
     typed: dict[str, object] = {}
@@ -224,14 +225,6 @@ def build_setup(values: dict[str, str]) -> RunSetup:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from exc
 
-    kind = typed["data.kind"]
-    options = {name: typed[f"data.{name}"] for name in DATA_KEYS.get(kind, ()) if f"data.{name}" in typed}
-    try:
-        data = DataSettings(kind, options)
-    except ConfigError as exc:
-        if seed_inherited and str(exc).startswith("data.seed: "):  # name the key the user set
-            raise ConfigError(f"seed: must be >= 0 when data.seed is not set, got {options['seed']}") from None
-        raise
     given = [key for key in IMAGE_KEYS if key in typed]
     if given and len(given) < len(IMAGE_KEYS):
         missing = " and ".join(key for key in IMAGE_KEYS if key not in typed)
@@ -256,7 +249,10 @@ def build_setup(values: dict[str, str]) -> RunSetup:
     )
     if train.strategy == "kd-offline" and not typed.get("kd.teacher_checkpoint"):
         raise ConfigError("kd.teacher_checkpoint: required for strategy=kd-offline")
-    return RunSetup(train, data, resolved)
+    # after TrainConfig, which refuses a negative run seed before an inherited data.seed could
+    kind = typed["data.kind"]
+    options = {name: typed[f"data.{name}"] for name in DATA_KEYS.get(kind, ()) if f"data.{name}" in typed}
+    return RunSetup(train, DataSettings(kind, options), resolved)
 
 
 def ignoring_choice(resolved: dict[str, str], key: str) -> str | None:

@@ -203,7 +203,7 @@ def batches(
     """
     if batch_size < 1:
         raise DomainError("batch_size must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, epoch]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, epoch]))
     order = rng.permutation(len(ds))
     for start in range(0, len(ds), batch_size):
         idx = order[start : start + batch_size]

@@ -19,9 +19,31 @@ ADAM = "adam"
 OPTIMIZERS = (SGD, ADAM)
 
 
+@dataclass(frozen=True)
+class OptimizerSettings:
+    """One network's optimizer knobs; a bad value is refused on construction, named by its config-key suffix."""
+
+    kind: str = ADAM
+    lr: float = 0.005
+    momentum: float = 0.9
+    weight_decay: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if self.kind not in OPTIMIZERS:
+            raise DomainError(f"optimizer: unknown value {self.kind!r}, expected one of {OPTIMIZERS}")
+        for key in ("lr", "momentum", "weight_decay"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise DomainError(f"{key}: must be finite, got {value}")
+            if key != "momentum" and value < 0:
+                raise DomainError(f"{key}: must be non-negative, got {value}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise DomainError(f"momentum: must be in [0, 1), got {self.momentum}")
+
+
 @dataclass
 class OptimizerState:
-    """Hyperparameters plus per-parameter accumulators for one network.
+    """Hyperparameters, checked by ``OptimizerSettings``, plus per-parameter accumulators for one network.
 
     ``momentum`` is the velocity coefficient for SGD and beta1 for Adam.
     Weight decay is coupled (added to the gradient before the update).
@@ -39,14 +61,7 @@ class OptimizerState:
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in OPTIMIZERS:
-            raise DomainError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr < 0:
-            raise DomainError("learning rate must be non-negative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DomainError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise DomainError("weight decay must be non-negative")
+        OptimizerSettings(self.kind, self.lr, self.momentum, self.weight_decay)
 
 
 def init_optimizer(

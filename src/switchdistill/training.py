@@ -34,7 +34,7 @@ from .losses import (  # the closed-form gradients stay importable here: perfben
     teacher_logit_grad,
 )
 from .network import NetworkParams, backward_from_cache, conv_mlp, forward_with_cache, init_params, mlp
-from .optim import OPTIMIZERS, OptimizerState, init_optimizer, step
+from .optim import OptimizerSettings, OptimizerState, init_optimizer, step
 
 STRATEGIES = ("vanilla", "kd-offline", "dml", "kdcl", "switch")
 STUDENT, TEACHER = "student", "teacher"
@@ -70,14 +70,6 @@ InspectHook = Callable[[int, dict], None]
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    kind: str = "adam"
-    lr: float = 0.005
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-
-
-@dataclass(frozen=True)
 class NetworkDef:
     """Architecture and optimizer knobs for one network."""
 
@@ -110,17 +102,15 @@ class TrainConfig:
         nets = {"student": self.student, "teacher": self.teacher, "third": self.third}
         nets = {name: defn for name, defn in nets.items() if defn is not None}
         numbers = {"alpha": self.alpha, "beta": self.beta, "tau": self.tau, "lr.gamma": self.lr_gamma}
-        for name, defn in nets.items():
-            numbers.update({f"{name}.{key}": getattr(defn.opt, key) for key in ("lr", "momentum", "weight_decay")})
         for key, value in numbers.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
-            if key.split(".")[-1] in ("alpha", "beta", "lr", "weight_decay") and value < 0:
+            if key in ("alpha", "beta") and value < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {value}")
             if key in ("tau", "lr.gamma") and value <= 0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
-        least = {"epochs": (1, self.epochs), "batch_size": (1, self.batch_size),  # key -> (least, value or list)
-                 "lr.milestones": (0, self.lr_milestones)}
+        least = {"epochs": (1, self.epochs), "batch_size": (1, self.batch_size), "seed": (0, self.seed),
+                 "lr.milestones": (0, self.lr_milestones)}  # key -> (least, value or list)
         least.update({key: (1, size) for key, size in zip(IMAGE_KEYS, self.image_shape or ())})
         for name, defn in nets.items():
             least.update({f"{name}.hidden": (1, defn.hidden), f"{name}.conv": (1, defn.conv_channels)})
@@ -129,11 +119,6 @@ class TrainConfig:
             if any(entry < low for entry in entries):
                 every = " in every entry" if isinstance(value, tuple) else ""
                 raise ConfigError(f"{key}: must be >= {low}{every}, got {','.join(map(str, entries))}")
-        for name, defn in nets.items():
-            if defn.opt.kind not in OPTIMIZERS:
-                raise ConfigError(f"{name}.optimizer: unknown value {defn.opt.kind!r}, expected one of {OPTIMIZERS}")
-            if not 0.0 <= defn.opt.momentum < 1.0:
-                raise ConfigError(f"{name}.momentum: must be in [0, 1), got {defn.opt.momentum}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: unknown value {self.strategy!r}, expected one of {STRATEGIES}")
         if self.strategy == "kd-offline" and self.alpha > 1:  # the student's KL weight is 1 - alpha
@@ -209,7 +194,7 @@ def build_network(defn: NetworkDef, in_dim: int, num_classes: int, seed: int, ro
         layers = conv_mlp(image_shape, defn.conv_channels, defn.hidden, num_classes)
     else:
         layers = mlp(in_dim, defn.hidden, num_classes)
-    rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, role]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, role]))
     return init_params(layers, rng)
 
 
@@ -333,7 +318,7 @@ def run_training(
         if cfg.topology == "pair"
         else [(f"{r}_{q}", r, q) for r in (STUDENT, TEACHER) for q in ("ce", "kl")]
     )
-    aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0xA06]))
+    aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA06]))
     iteration = 0
     tau = cfg.tau
 

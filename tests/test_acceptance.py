@@ -4,13 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Every tolerance is pinned here, not configurable.
 """
 
+import os
 import struct
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from conftest import reference_config
 
+from switchdistill.config import build_setup, load_config
 from switchdistill.datasets import batches, generate_blobs, load_cifar_binary, load_idx
 from switchdistill.gap import EXPERT, LEARNING, threshold_from_errors
 from switchdistill.losses import degeneration_curve, one_hot, soften
@@ -185,6 +188,18 @@ def test_criterion_7_desk_scale_behavior(reference_runs):
         assert med_switch >= med_vanilla - 0.005, (med_switch, med_vanilla)
         assert med_switch >= med_dml - 0.010, (med_switch, med_dml)
         assert reference_runs["elapsed"] < 300.0, f"reference runs took {reference_runs['elapsed']:.0f}s"
+
+
+@pytest.mark.parametrize("strategy", ["vanilla", "dml", "switch"])
+def test_criterion_7_task_is_the_shipped_reference_config(strategy):
+    """The fixture's runs are what ``train --config configs/reference_<strategy>.cfg`` runs at seed 0."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", f"reference_{strategy}.cfg")
+    setup = build_setup(load_config(path))
+    assert setup.train == reference_config(strategy, 0)
+    blobs = {"classes": 4, "per_class": 100, "dims": 16, "spread": 0.5, "seed": 7}
+    assert setup.data.describe() == {"kind": "blobs", **blobs}
+    for built, fixture in zip(setup.data.build(), generate_blobs(4, 100, 16, spread=0.5, seed=7)):
+        assert np.array_equal(built.rows, fixture.rows) and np.array_equal(built.labels, fixture.labels)
 
 
 def test_criterion_8_one_teacher_two_students_suspension():

@@ -241,7 +241,7 @@ class TestTrainCommand:
             (["data.width=4"], "data.width", ["data.channels and data.height"]),
             (["student.conv=4"], "student.conv", ["data.channels, data.height, data.width"]),
             (["data.channels=1", "data.height=2", "data.width=3", "student.conv=4"], "student.conv", ["1x2x3"]),
-            (["seed=-1"], "seed", ["data.seed is not set"]),
+            (["seed=-1"], "seed", ["got -1"]),
             # an image shape that does not fit the 6 blob features
             (["data.channels=3", "data.height=32", "data.width=32", "data.augment=true"],
              "data.channels, data.height, data.width", ["3072", "has 6"]),
@@ -259,19 +259,18 @@ class TestTrainCommand:
         code = main(train_args(missing_data_cfg(tmp_path), out, ["data.classes=11"]))
         assert_config_error(code, capsys, out, "data.classes")
 
-    def test_negative_run_seed_trains_when_data_seed_is_set(self, cfg_file, tmp_path):
+    def test_negative_run_seed_exits_1_when_data_seed_is_set(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "r"
-        assert main(train_args(cfg_file, out, ["seed=-1", "data.seed=2"])) == 0
-        assert json.load(open(out / "manifest.json"))["config"]["seed"] == "-1"
+        err = assert_config_error(main(train_args(cfg_file, out, ["seed=-1", "data.seed=2"])), capsys, out, "seed")
+        assert err == "error: seed: must be >= 0, got -1"
 
     @pytest.mark.parametrize("kind", ["cifar", "idx"])
-    def test_negative_run_seed_trains_on_image_data(self, tmp_path, kind):
-        """Image data reads no `data.seed`, so the run's seed is not checked as one."""
+    def test_negative_run_seed_exits_1_on_image_data(self, tmp_path, capsys, kind):
+        """Image data reads no `data.seed`; the run's seed is refused all the same."""
         cfg = cifar_cfg(tmp_path, 8, 4) if kind == "cifar" else idx_cfg(tmp_path, [0, 1, 2] * 4, [0, 1, 2] * 2)[0]
         out = tmp_path / "r"
-        assert main(train_args(cfg, out, ["seed=-1"])) == 0
-        snapshot = load_config(str(out / "config.cfg"))
-        assert snapshot["seed"] == "-1" and "data.seed" not in snapshot
+        err = assert_config_error(main(train_args(cfg, out, ["seed=-1"])), capsys, out, "seed")
+        assert err == "error: seed: must be >= 0, got -1"
 
     def test_unknown_optimizer_exits_1_naming_the_key(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "r"

@@ -521,6 +521,13 @@ class TestStep:
         with pytest.raises(DomainError):
             OptimizerState(kind="nadam", lr=0.1)
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hyperparameter_is_refused_naming_it(self, field, value):
+        net = init_params(mlp(3, (4,), 2), 0)
+        with pytest.raises(DomainError, match=f"^{field}: must be finite, got {value}$"):
+            init_optimizer(net, "sgd", **{"lr": 0.1, field: value})
+
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):

@@ -30,6 +30,7 @@ from switchdistill.training import (
     NetworkDef,
     OptimizerSettings,
     TrainConfig,
+    build_network,
     evaluate,
     logit_grad,
     pair_terms,
@@ -191,6 +192,11 @@ class TestSwitchPair:
         assert a.epoch_log == b.epoch_log
         assert params_bytes(a.networks["student"]) == params_bytes(b.networks["student"])
         assert a.iteration_log == b.iteration_log
+
+    def test_a_seed_past_64_bits_is_its_own_run(self):
+        """The seed keys its streams whole: 2**64 does not wrap round to seed 0."""
+        first = [build_network(NetworkDef(), 16, 4, seed, 0).weights[0] for seed in (0, 2**64)]
+        assert not np.array_equal(*first)
 
     def test_concurrent_instances_match_serial_runs(self):
         # no shared mutable state: four trainings in parallel threads must
@@ -646,6 +652,7 @@ class TestConfigAndSchedule:
             ({"student": NetworkDef(hidden=(8, 0))}, "student.hidden"),
             ({"image_shape": (0, 4, 4)}, "data.channels"),
             ({"strategy": "kd-offline", "alpha": 1.5}, "alpha"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_validate_names_the_config_key(self, fields, key):
